@@ -1,21 +1,22 @@
-"""Sharded engine benchmark: aggregate throughput vs the single batched engine.
+"""Shard benchmark: component merging, bridge cuts and the serving fleet.
 
 Thin entry point over :mod:`repro.bench.shard` (importable because the
-driver also backs the ``repro.cli bench-shard`` subcommand).  The
+module also backs the ``repro.cli bench-shard`` subcommand).  On the
 partitionable zipf workload (k independent sources, one query set each)
-is measured on the single-engine batched baseline and on the sharded
-engine at 1/2/4 shards; each cell re-checks per-query output equality.
-The run fails if 4-shard aggregate throughput drops below the scale's
-floor (2x at full scale) over the single-engine batched baseline.
+the single engine merging per component is measured against the same
+engine fed one global merge, and the process fleet serves the same
+queries at 1/2/4 shards.  The bridge workload times the inline sharded
+engine with and without bridge cuts.  Every cell re-checks per-query
+output equality with its single-engine baseline.
 
 Exit criteria (what a red run means):
 
-- non-zero exit + ``AssertionError: ... sharded outputs diverged ...`` —
-  a correctness regression: sharded and single-engine outputs must be
-  identical on every workload, no tolerance;
-- non-zero exit + ``AssertionError: 4-shard aggregate throughput ...`` —
-  a performance regression below the floor (the measured and required
-  multiples are printed in the message).
+- non-zero exit + ``AssertionError: ... diverged ...`` — a correctness
+  regression: every cell's outputs must equal the single engine's, no
+  tolerance;
+- non-zero exit + ``AssertionError: component merging must ...`` or
+  ``bridge-split serve must ...`` — a performance regression below a
+  floor (the measured and required multiples are printed in the message).
 
 Run standalone (writes ``BENCH_shard.json``)::
 
@@ -41,10 +42,10 @@ from repro.bench.shard import (
 
 
 def test_shard_smoke():
-    """Acceptance: 4-shard ≥ smoke floor on partitionable zipf, outputs equal."""
+    """Acceptance: component merging ≥ smoke floor, outputs equal."""
     results = run_benchmark(ShardScale.smoke())
     assert (
-        results["headline"]["sharded_4x_speedup"]
+        results["headline"]["component_merge_speedup"]
         >= results["headline"]["target"]
     )
 
@@ -58,8 +59,8 @@ def test_shard_point_benchmark(benchmark):
         iterations=1,
         warmup_rounds=0,
     )
-    benchmark.extra_info["sharded_4x_speedup"] = result["cells"]["sharded_4"][
-        "speedup_vs_single_batched"
+    benchmark.extra_info["component_merge_speedup"] = result[
+        "component_merge_speedup"
     ]
 
 

@@ -12,8 +12,8 @@ renamed cell cannot green-wash the gate):
 - ``BENCH_throughput*.json``: the headline
   ``optimized_zipf_batched_speedup`` plus every per-workload
   ``batched_speedup`` cell;
-- ``BENCH_shard*.json``: the headline ``sharded_4x_speedup`` plus every
-  ``speedup_vs_single_batched`` cell.
+- ``BENCH_shard*.json``: the headline ``component_merge_speedup`` plus
+  every ``speedup_vs_single_batched`` cell.
 
 Exit status is 0 on pass, 1 on any regression or malformed input; every
 verdict is printed, regressions with the measured and required values —
@@ -25,6 +25,9 @@ Run locally::
         --output BENCH_throughput.smoke.json
     python benchmarks/compare_bench.py BENCH_throughput.smoke.baseline.json \
         BENCH_throughput.smoke.json
+
+and likewise for ``benchmarks/bench_shard.py`` against
+``BENCH_shard.smoke.baseline.json``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Iterator
 def iter_speedups(results: dict) -> Iterator[tuple[str, float]]:
     """Yield (metric path, speedup) for every gated ratio in a results dict."""
     headline = results.get("headline", {})
-    for key in ("optimized_zipf_batched_speedup", "sharded_4x_speedup"):
+    for key in ("optimized_zipf_batched_speedup", "component_merge_speedup"):
         if key in headline:
             yield f"headline.{key}", float(headline[key])
     for workload, data in results.get("workloads", {}).items():

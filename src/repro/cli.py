@@ -60,11 +60,12 @@ Three subcommands cover the downstream-user loop:
     speedup floor on the optimized zipf workload.
 
 ``bench-shard``
-    Regenerate ``BENCH_shard.json``: aggregate throughput of the sharded
-    engine (1/2/4 shards) vs the single-engine batched baseline on the
-    partitionable zipf workload, plus a live sharded churn serve with
-    load-levelling rebalances — asserting sharded outputs stay identical
-    and the 4-shard speedup clears its floor.
+    Regenerate ``BENCH_shard.json``: on the partitionable zipf workload,
+    the single engine merging per component vs the same engine fed one
+    global merge (the gated headline) and the process fleet at 1/2/4
+    shards; on the bridge workload, the inline sharded engine with and
+    without bridge cuts (gated); plus a live sharded churn serve —
+    asserting every cell's outputs equal the single engine's.
 
 ``bench-obs``
     Regenerate ``BENCH_obs.json``: throughput of observed vs unobserved
@@ -1047,8 +1048,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_shard = commands.add_parser(
         "bench-shard",
-        help="measure sharded vs single-engine batched throughput and write "
-        "BENCH_shard.json",
+        help="measure component merging, bridge cuts and the process fleet "
+        "against the single engine and write BENCH_shard.json",
     )
     bench_shard.add_argument(
         "--scale",

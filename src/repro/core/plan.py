@@ -362,6 +362,42 @@ class QueryPlan:
                 result.append(channel)
         return result
 
+    def channel_components(self) -> dict[int, int]:
+        """channel_id -> representative channel id of its connected component.
+
+        Two channels are connected when one m-op touches both (as inputs,
+        outputs or one of each) or one query has sinks on both.  No m-op,
+        no operator state and no query's output order spans two components,
+        so they can be drained one after another with every query's outputs
+        unchanged.
+        """
+        by_stream = self._channel_by_stream
+        parent = {channel.channel_id: channel.channel_id for channel in self.channels()}
+
+        def find(channel_id: int) -> int:
+            while parent[channel_id] != channel_id:
+                parent[channel_id] = parent[parent[channel_id]]
+                channel_id = parent[channel_id]
+            return channel_id
+
+        def union(channel_ids: list[int]) -> None:
+            root = find(channel_ids[0])
+            for channel_id in channel_ids[1:]:
+                other = find(channel_id)
+                if other != root:
+                    parent[other] = root
+
+        for mop in self.mops:
+            streams = (*mop.input_streams, *mop.output_streams)
+            union([by_stream[stream.stream_id].channel_id for stream in streams])
+        sink_channels: dict = defaultdict(list)
+        for stream_id, query_ids in self._sinks.items():
+            for query_id in query_ids:
+                sink_channels[query_id].append(by_stream[stream_id].channel_id)
+        for channel_ids in sink_channels.values():
+            union(channel_ids)
+        return {channel_id: find(channel_id) for channel_id in parent}
+
     def consumers_of(self, stream: StreamDef) -> list[tuple[MOp, OpInstance, int]]:
         return list(self._consumers.get(stream.stream_id, ()))
 

@@ -2,7 +2,12 @@
 
 ``StreamEngine`` freezes a query plan into executors (one per m-op) and a
 channel routing table, then drains a timestamp-ordered source merge through
-the DAG.
+the DAG.  The merge is per connected component of the plan
+(:meth:`~repro.core.plan.QueryPlan.channel_components`): sources feeding
+one component interleave by timestamp, and components drain one after
+another.  Components share no m-op, state or query, so every query's
+outputs are those of one global merge; only the interleaving across
+components differs.
 
 Two dispatch paths share the same executor tables:
 
@@ -86,18 +91,15 @@ class RelayTap:
     Installed by :meth:`StreamEngine.install_relay_tap` on a derived
     channel whose consumers live on another shard: the tap sees exactly
     the batches those consumers would have seen, in emission order, and
-    emits nothing itself.  Runs either buffer on the tap (drained with
-    :meth:`StreamEngine.take_relay_runs`) or stream straight to ``on_run``
-    when set — the live path process-mode workers use so downstream shards
-    consume relays while the upstream drain is still running.
+    emits nothing itself.  Runs buffer on the tap until drained with
+    :meth:`StreamEngine.take_relay_runs`.
     """
 
-    __slots__ = ("channel", "runs", "on_run", "record", "produced")
+    __slots__ = ("channel", "runs", "record", "produced")
 
-    def __init__(self, channel: Channel, on_run=None):
+    def __init__(self, channel: Channel):
         self.channel = channel
         self.runs: list[list[ChannelTuple]] = []
-        self.on_run = on_run
         self.record = _TapRecord()
         #: Cumulative tuples dispatched through the tap — the relay
         #: *cursor*.  It rides checkpoint manifests so a restored worker
@@ -107,10 +109,7 @@ class RelayTap:
 
     def process(self, channel, channel_tuple):
         self.produced += 1
-        if self.on_run is not None:
-            self.on_run([channel_tuple])
-        else:
-            self.runs.append([channel_tuple])
+        self.runs.append([channel_tuple])
         return ()
 
     def process_batch(self, channel, tuples):
@@ -118,10 +117,7 @@ class RelayTap:
         # ships them as ``crun`` payloads without a row round-trip.
         run = tuples if type(tuples) is ColumnBatch else list(tuples)
         self.produced += len(run)
-        if self.on_run is not None:
-            self.on_run(run)
-        else:
-            self.runs.append(run)
+        self.runs.append(run)
         return ()
 
 
@@ -348,23 +344,20 @@ class StreamEngine:
 
     # -- relay taps -----------------------------------------------------------------
 
-    def install_relay_tap(self, channel: Channel, on_run=None) -> RelayTap:
-        """Tap ``channel``: record (or stream) every batch dispatched on it.
+    def install_relay_tap(self, channel: Channel) -> RelayTap:
+        """Tap ``channel``: buffer every batch dispatched on it.
 
         The tap rides the routing tables like a consumer — it fires on
         every dispatch path (per-tuple, batched, observed, columnar BFS) —
         and survives table rebuilds.  Installing a tap removes the channel
         from the columnar entry table (a tap has no columnar protocol), so
         tapped entries take the row path; outputs are identical.
-        Re-installing on an already-tapped channel updates ``on_run`` and
-        keeps the buffered runs.
+        Re-installing on an already-tapped channel keeps the buffered runs.
         """
         tap = self._relay_taps.get(channel.channel_id)
         if tap is None:
-            tap = RelayTap(channel, on_run)
+            tap = RelayTap(channel)
             self._relay_taps[channel.channel_id] = tap
-        else:
-            tap.on_run = on_run
         self._apply_relay_taps()
         return tap
 
@@ -567,6 +560,9 @@ class StreamEngine:
     ) -> RunStats:
         """Drain ``sources`` through the plan; returns run statistics.
 
+        Sources merge by timestamp within each plan component, and the
+        components drain in turn (:meth:`_component_groups`).
+
         ``warmup_events`` logical events are processed before the clock and
         the counters start — the paper warms the JIT the same way ("we first
         process the input stream for a few iterations", §5).  Warmup is
@@ -580,7 +576,11 @@ class StreamEngine:
         """
         if not self.batching or sample_state_every:
             return self._run_per_tuple(sources, warmup_events, sample_state_every)
-        runs = merge_source_runs(sources, self.max_batch)
+        runs = (
+            run
+            for group in self._component_groups(sources)
+            for run in merge_source_runs(group, self.max_batch)
+        )
         pending: Optional[tuple[Channel, list[ChannelTuple]]] = None
         if warmup_events:
             consumed = 0
@@ -618,6 +618,27 @@ class StreamEngine:
         if self.observer is not None:
             self.observer.sample_state_now(self)
         return stats
+
+    def _component_groups(
+        self, sources: Sequence[StreamSource]
+    ) -> list[list[StreamSource]]:
+        """Sources grouped by plan component, groups in first-source order.
+
+        Only sources feeding the same component need a tuple-level
+        timestamp merge; draining each group in turn leaves every query's
+        outputs unchanged (:meth:`~repro.core.plan.QueryPlan.
+        channel_components`).  A group with one source drains through its
+        bulk ``iter_runs`` path in full-length runs, where a global merge of
+        k interleaved sources would cut every run down to one tuple.
+        """
+        component_of = self.plan.channel_components()
+        groups: dict[int, list[StreamSource]] = {}
+        for source in sources:
+            channel_id = source.channel.channel_id
+            groups.setdefault(
+                component_of.get(channel_id, channel_id), []
+            ).append(source)
+        return list(groups.values())
 
     def _run_batch(
         self, channel: Channel, batch: list[ChannelTuple], stats: RunStats
@@ -662,7 +683,11 @@ class StreamEngine:
         sample_state_every: int,
     ) -> RunStats:
         """The reference interpreter loop (the seed engine's ``run``)."""
-        events = merge_sources(sources)
+        events = (
+            event
+            for group in self._component_groups(sources)
+            for event in merge_sources(group)
+        )
         if warmup_events:
             consumed = 0
             for channel, channel_tuple in events:

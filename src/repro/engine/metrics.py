@@ -58,12 +58,6 @@ class RunStats:
             return 0.0
         return self.input_events / self.elapsed_seconds
 
-    @property
-    def output_rate(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.output_events / self.elapsed_seconds
-
     def merge(self, other: "RunStats") -> "RunStats":
         """Combine two runs (used when measurement is split into batches)."""
         merged = RunStats()

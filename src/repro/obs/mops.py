@@ -174,9 +174,6 @@ class MOpObserver:
             for mop_id, record in sorted(self.records.items())
         }
 
-    def total_tuples_out(self) -> int:
-        return sum(record.tuples_out for record in self.records.values())
-
     def query_heat(self) -> dict:
         """query_id -> extrapolated busy seconds.
 

@@ -3,12 +3,15 @@
 The optimizer's output — one shared m-op plan — decomposes into
 **entry-channel connected components**: maximal subgraphs connected through
 any channel.  Components share nothing, so they are the safe unit of
-parallel placement (queries sharing any m-op necessarily co-locate).  This
-package partitions a plan along those lines (:class:`ShardPlanner`), runs
-one batched engine per shard — on ``multiprocessing`` workers where the
-platform allows, inline otherwise (:class:`ShardedEngine`) — and extends
+parallel placement (queries sharing any m-op necessarily co-locate), and a
+single :class:`~repro.engine.executor.StreamEngine` already drains them one
+after another.  This package partitions a plan along those lines
+(:class:`ShardPlanner`, which also cuts oversized components at bridge
+channels), drives a cut plan inline, one batched engine per shard, with the
+bridge runs relayed between fragments (:class:`ShardedEngine`), and extends
 the online lifecycle across shards with state-preserving component
-rebalancing (:class:`ShardedRuntime`).
+rebalancing (:class:`ShardedRuntime`).  Parallel serving is the process
+fleet below, opened with :func:`~repro.runtime.config.open_runtime`.
 
 The process-mode runtime (:class:`ProcessShardedRuntime`) adds cluster-grade
 durability on top: per-shard write-ahead logs and versioned checkpoints
@@ -37,7 +40,7 @@ from repro.shard.coordlog import (
     CoordinatorLog,
     CoordinatorState,
 )
-from repro.shard.engine import ShardedEngine, SourceRouter, fork_available
+from repro.shard.engine import ShardedEngine
 from repro.shard.planner import ShardComponent, ShardPlan, ShardPlanner
 from repro.shard.policy import QueryCountPolicy, RebalancePolicy, ThroughputPolicy
 from repro.shard.proc import (
@@ -46,6 +49,7 @@ from repro.shard.proc import (
     ProcessShardedRuntime,
     WorkerCrashError,
     WorkerFaults,
+    fork_available,
 )
 from repro.shard.runtime import ShardedRuntime
 from repro.shard.stats import ShardedRunStats, merge_run_stats
@@ -73,7 +77,6 @@ __all__ = [
     "ShardedEngine",
     "ShardedRunStats",
     "ShardedRuntime",
-    "SourceRouter",
     "ThroughputPolicy",
     "WireDecoder",
     "WireEncoder",

@@ -161,12 +161,6 @@ class ShardPlan:
         """Shards that actually received work (≤ n_shards)."""
         return sum(1 for subplan in self.subplans if subplan.mops)
 
-    def relays_from(self, shard: int) -> list[RelayEdge]:
-        return [edge for edge in self.relays if edge.from_shard == shard]
-
-    def relays_to(self, shard: int) -> list[RelayEdge]:
-        return [edge for edge in self.relays if edge.to_shard == shard]
-
     def describe(self) -> str:
         lines = [
             f"ShardPlan: {len(self.components)} components over "
@@ -209,36 +203,18 @@ class ShardPlanner:
     # -- components ------------------------------------------------------------------
 
     def components(self, plan: QueryPlan) -> list[ShardComponent]:
-        """Entry-channel connected components, in first-m-op plan order."""
-        mops = plan.mops
-        parent = list(range(len(mops)))
+        """Entry-channel connected components, in first-m-op plan order.
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i: int, j: int) -> None:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-        touches: dict[int, int] = {}  # channel_id -> first m-op index seen
-        for index, mop in enumerate(mops):
-            for stream in list(mop.input_streams) + list(mop.output_streams):
-                channel_id = plan.channel_of(stream).channel_id
-                first = touches.get(channel_id)
-                if first is None:
-                    touches[channel_id] = index
-                else:
-                    union(first, index)
-        grouped: dict[int, list[int]] = {}
-        for index in range(len(mops)):
-            grouped.setdefault(find(index), []).append(index)
+        The grouping is :meth:`~repro.core.plan.QueryPlan.channel_components`,
+        the same one :class:`~repro.engine.executor.StreamEngine` drains by.
+        """
+        component_of = plan.channel_components()
+        grouped: dict[int, list[MOp]] = {}
+        for mop in plan.mops:
+            channel = plan.channel_of(mop.output_streams[0])
+            grouped.setdefault(component_of[channel.channel_id], []).append(mop)
         components: list[ShardComponent] = []
-        for order, root in enumerate(sorted(grouped)):
-            member_mops = [mops[i] for i in grouped[root]]
+        for order, member_mops in enumerate(grouped.values()):
             component = self._make_fragment(plan, member_mops, frozenset())
             component.index = order
             components.append(component)

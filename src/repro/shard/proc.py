@@ -18,7 +18,7 @@ batch boundaries — is preserved by construction:
 - **data frames** (``schema`` / ``run``, the existing wire format) are
   fire-and-forget: the coordinator encodes each source run once and ships
   it to every shard whose queries read that stream (schema frames are
-  broadcast to all workers, mirroring :class:`~repro.shard.engine.SourceRouter`);
+  broadcast to all workers);
 - **command frames** (``register`` / ``unregister`` / ``reoptimize`` /
   ``rebalance`` / ``stats`` / ``snapshot``) are synchronous RPCs: the
   coordinator blocks for the matching reply before issuing anything else,
@@ -176,7 +176,6 @@ from repro.shard.checkpoint import (
     capture_manifest,
 )
 from repro.shard.coordlog import CoordinatorFaults, CoordinatorLog
-from repro.shard.engine import fork_available
 from repro.shard.ring import RingBuffer
 from repro.shard.relay import decode_local_frames, relay_rows
 from repro.shard.wire import (
@@ -221,6 +220,11 @@ from repro.streams.stream import StreamDef
 from repro.streams.tuples import StreamTuple
 
 logger = logging.getLogger(__name__)
+
+
+def fork_available() -> bool:
+    """Whether the ``fork`` start method exists on this platform."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _locked(method):
@@ -2387,11 +2391,6 @@ class ProcessShardedRuntime:
             pipelined=True,
         )
         return shard
-
-    @property
-    def pending_lifecycle(self) -> int:
-        """Pipelined lifecycle commands shipped but not yet acknowledged."""
-        return sum(len(entries) for entries in self._pending_cmds.values())
 
     @_locked
     def collect_lifecycle(self) -> int:

@@ -25,8 +25,8 @@ all sharing the *same* source ``StreamDef``/``Channel`` objects.
 
 The shard runtimes run in the coordinating process: lifecycle changes and
 state transfer stay plain method calls, and every engine already uses the
-batched dispatch hot path.  (Cross-process serving of a *static* plan is the
-:class:`~repro.shard.engine.ShardedEngine`'s job.)
+batched dispatch hot path.  (Cross-process serving is the process fleet's
+job: :class:`~repro.shard.proc.ProcessShardedRuntime`.)
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ A sharded run produces one :class:`~repro.engine.metrics.RunStats` per shard.
 Because entry-channel connected components partition the plan, the shards'
 event sets are disjoint: summing per-shard counters gives exactly the
 single-engine counters (inputs, outputs, per-query breakdowns).  Wall-clock
-is *not* a sum — shards run concurrently — so :class:`ShardedRunStats`
-carries the parent-measured ``wall_seconds`` separately and defines
-aggregate throughput against it.
+is measured once around the whole run, so :class:`ShardedRunStats` carries
+``wall_seconds`` beside the per-shard busy times and defines aggregate
+throughput against it.
 """
 
 from __future__ import annotations
@@ -34,16 +34,8 @@ class ShardedRunStats:
 
     per_shard: list[RunStats] = field(default_factory=list)
     #: End-to-end wall-clock of the whole sharded run, measured by the
-    #: coordinating process (covers routing, worker feeding and result
-    #: collection — everything a user of the sharded engine waits for).
+    #: caller (covers routing and every shard's drain).
     wall_seconds: float = 0.0
-    #: Execution mode actually used ("process" workers or "inline").
-    mode: str = "inline"
-    #: Process-mode worker startup cost (fork + import + ready handshake),
-    #: excluded from ``wall_seconds`` when the ready barrier completes —
-    #: reported separately so drain throughput and startup amortization
-    #: stay honestly distinguishable.  0.0 inline.
-    spawn_seconds: float = 0.0
 
     @property
     def aggregate(self) -> RunStats:
@@ -71,7 +63,7 @@ class ShardedRunStats:
             else 0.0
         )
         return (
-            f"ShardedRunStats({len(self.per_shard)} shards, mode={self.mode}, "
+            f"ShardedRunStats({len(self.per_shard)} shards, "
             f"in={aggregate.input_events}, out={aggregate.output_events}, "
             f"wall={self.wall_seconds:.4f}s, busy={self.busy_seconds:.4f}s, "
             f"throughput={throughput:,.0f} ev/s)"

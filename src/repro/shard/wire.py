@@ -649,11 +649,6 @@ class WireEncoder:
             )
         return frames
 
-    def token_for(self, schema: Schema, frames: list) -> int:
-        """Public interning hook for ring shipping: returns the schema's
-        token, appending a schema frame to ``frames`` on first use."""
-        return self._token_of(schema, frames)
-
 
 class WireDecoder:
     """Decodes wire frames back into (channel, batch) runs."""

@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ChannelError
 from repro.streams.channel import ChannelTuple
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
@@ -146,37 +145,6 @@ class ColumnBatch:
         if not uniform:
             packed.membership = np.array(masks, dtype=np.int64)
         return packed
-
-    @classmethod
-    def from_arrays(
-        cls, schema: Schema, ts, membership, columns
-    ) -> "ColumnBatch":
-        """Adopt prebuilt arrays (the columnar-native source path).
-
-        ``ts`` must be an int64 array; each column either a ``(tag, data)``
-        pair or a bare ndarray (tagged by dtype).  No per-value validation:
-        the caller owns the data layout.
-        """
-        ts = np.ascontiguousarray(ts, dtype=np.int64)
-        normalized = []
-        for column in columns:
-            if isinstance(column, tuple):
-                normalized.append(column)
-            elif column.dtype == np.int64:
-                normalized.append((TAG_INT, np.ascontiguousarray(column)))
-            elif column.dtype == np.float64:
-                normalized.append((TAG_FLOAT, np.ascontiguousarray(column)))
-            else:
-                raise ChannelError(
-                    f"unsupported column dtype {column.dtype} (expected "
-                    f"int64/float64, or pass an explicit (tag, data) pair)"
-                )
-        if len(normalized) != len(schema):
-            raise ChannelError(
-                f"column count {len(normalized)} does not match schema "
-                f"width {len(schema)}"
-            )
-        return cls(schema, len(ts), ts, membership, tuple(normalized))
 
     # -- shape ----------------------------------------------------------------------
 

@@ -83,20 +83,6 @@ def round_robin_rounds(
     return [(s_values[r], t_values[r]) for r in range(rounds)]
 
 
-def rounds_as_plain_events(
-    schema: Schema,
-    rounds: list[tuple[np.ndarray, np.ndarray]],
-    stream_names: Sequence[str],
-    t_name: str = "T",
-) -> Iterator[tuple[str, StreamTuple]]:
-    """Render rounds as per-stream events (the no-channel configuration)."""
-    for r, (s_values, t_values) in enumerate(rounds):
-        s_tuple_values = tuple(int(v) for v in s_values)
-        for name in stream_names:
-            yield name, StreamTuple(schema, s_tuple_values, 2 * r)
-        yield t_name, StreamTuple(schema, tuple(int(v) for v in t_values), 2 * r + 1)
-
-
 def rounds_as_channel_events(
     schema: Schema,
     rounds: list[tuple[np.ndarray, np.ndarray]],

@@ -54,9 +54,6 @@ class ZipfSampler:
         """Draw ``count`` values (numpy int64 array)."""
         return self._rng.choice(self._values, size=count, p=self._probabilities)
 
-    def sample_one(self) -> int:
-        return int(self.sample(1)[0])
-
     def expected_distinct(self, count: int) -> float:
         """Expected number of distinct values among ``count`` draws.
 

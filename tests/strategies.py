@@ -133,6 +133,82 @@ def two_component_plan():
     return plan, (s, t, u)
 
 
+def multi_component_plan(n_independent: int, optimize: bool = True):
+    """Several components in one plan, for the component-merge property.
+
+    A stateful two-source component (a selection over S feeding a sequence
+    with T), a component of three sources encoded on one shared channel,
+    and ``n_independent`` single-source selection components.  Query
+    ``q_both`` has sinks over both S and T, so its output order needs the
+    two merged by timestamp; ``q_span`` has sinks over the shared channel
+    and U0, which joins those two components into one.  Returns ``(plan,
+    feeds)``: one ``(channel, member_streams)`` pair per event stream; the
+    shared channel carries two feeds with different member masks.
+    """
+    schema = EVENT_SCHEMA
+    plan = QueryPlan()
+    s = plan.add_source("S", schema)
+    t = plan.add_source("T", schema)
+    sel = plan.add_operator(
+        Selection(Comparison(attr("a0"), "==", lit(1))), [s], query_id="q_sel"
+    )
+    plan.mark_output(sel, "q_sel")
+    seq = plan.add_operator(
+        Sequence(
+            conjunction(
+                [DurationWithin(6), Comparison(right("a0"), "==", lit(1))]
+            )
+        ),
+        [sel, t],
+        query_id="q_seq",
+    )
+    plan.mark_output(seq, "q_seq")
+    shared = [
+        plan.add_source(f"P{i}", schema, sharable_label="p") for i in range(3)
+    ]
+    shared_channel = plan.channelize(shared)
+    for index, stream in enumerate(shared):
+        out = plan.add_operator(
+            Selection(Comparison(attr("a0"), "==", lit(index))),
+            [stream],
+            query_id=f"q_p{index}",
+        )
+        plan.mark_output(out, f"q_p{index}")
+    independent = []
+    for index in range(n_independent):
+        stream = plan.add_source(f"U{index}", schema)
+        out = plan.add_operator(
+            Selection(Comparison(attr("a0"), ">", lit(index))),
+            [stream],
+            query_id=f"q_u{index}",
+        )
+        plan.mark_output(out, f"q_u{index}")
+        independent.append(stream)
+    for stream in (s, t):
+        out = plan.add_operator(
+            Selection(Comparison(attr("a1"), "<", lit(3))),
+            [stream],
+            query_id="q_both",
+        )
+        plan.mark_output(out, "q_both")
+    for stream in (shared[0], independent[0]):
+        out = plan.add_operator(
+            Selection(Comparison(attr("a1"), ">", lit(1))),
+            [stream],
+            query_id="q_span",
+        )
+        plan.mark_output(out, "q_span")
+    if optimize:
+        Optimizer().optimize(plan)
+    feeds = [
+        (plan.channel_of(s), None),
+        (plan.channel_of(t), None),
+        (shared_channel, [shared[0]]),
+        (shared_channel, shared[1:]),
+    ] + [(plan.channel_of(stream), None) for stream in independent]
+    return plan, feeds
+
+
 # -- churn schedules ----------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from repro.operators.expressions import attr, lit
 from repro.operators.predicates import Comparison
 from repro.operators.select import Selection
 from repro.runtime import QueryRuntime
+from repro.serve.replay import normalize_captured
 from repro.streams.schema import Schema
 from repro.streams.sources import StreamSource, merge_source_runs, merge_sources
 from repro.streams.tuples import StreamTuple
@@ -33,6 +34,7 @@ from strategies import (
     event_entries,
     max_batches,
     mixed_plan,
+    multi_component_plan,
     split_entries,
     two_component_plan,
 )
@@ -353,22 +355,133 @@ class TestRandomInterleavings:
         )
         assert_equivalent(per_tuple, batched)
 
+    @given(
+        events=event_entries(n_streams=6, min_size=4),
+        n_independent=st.integers(1, 2),
+        optimize=st.booleans(),
+        max_batch=max_batches,
+        warmup=st.integers(1, 30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_component_merge_equals_global_per_tuple(
+        self, events, n_independent, optimize, max_batch, warmup
+    ):
+        """Draining components in turn changes no query's outputs: batched
+        and per-tuple ``run`` both match the per-tuple interpreter fed the
+        one global timestamp merge, event by event — and agree with each
+        other under ``warmup_events`` too."""
+
+        def build():
+            plan, feeds = multi_component_plan(n_independent, optimize)
+            by_feed = split_entries(
+                [(target % len(feeds), a0, a1) for target, a0, a1 in events],
+                n_streams=len(feeds),
+            )
+            sources = [
+                StreamSource(channel, tuples, member_streams=members)
+                for (channel, members), tuples in zip(feeds, by_feed)
+            ]
+            return plan, sources
+
+        plan, sources = build()
+        reference = StreamEngine(plan, capture_outputs=True, batching=False)
+        for channel, channel_tuple in merge_sources(sources):
+            reference.process(channel, channel_tuple)
+        expected = normalize_captured(reference.captured)
+        for warmup_events in (0, warmup):
+            results = []
+            for batching in (False, True):
+                plan, sources = build()
+                engine = StreamEngine(
+                    plan,
+                    capture_outputs=True,
+                    batching=batching,
+                    max_batch=max_batch,
+                )
+                stats = engine.run(sources, warmup_events=warmup_events)
+                results.append((stats, normalize_captured(engine.captured)))
+            (per_tuple, per_tuple_out), (batched, batched_out) = results
+            assert batched_out == per_tuple_out
+            assert batched.outputs_by_query == per_tuple.outputs_by_query
+            assert batched.input_events == per_tuple.input_events
+            if not warmup_events:
+                assert per_tuple_out == expected
+
+
+# -- component merging: independent components drain in turn -----------------------
+
+
+def four_component_zipf():
+    """Four sources with their own Zipf selection sets: after optimization,
+    four components of one predicate-index m-op each."""
+    schema = synthetic_schema()
+    rng = np.random.default_rng(9)
+    plan = QueryPlan()
+    handles = [plan.add_source(f"S{i}", schema) for i in range(4)]
+    for index, handle in enumerate(handles):
+        for position, constant in enumerate(
+            ZipfSampler(0, 49, 1.5, rng).sample(12)
+        ):
+            query_id = f"q{index}_{position}"
+            out = plan.add_operator(
+                Selection(Comparison(attr("a0"), "==", lit(int(constant)))),
+                [handle],
+                query_id=query_id,
+            )
+            plan.mark_output(out, query_id)
+    Optimizer().optimize(plan)
+    return plan, handles
+
+
+class TestComponentMerge:
+    def test_interleaved_components_dispatch_full_batches(self):
+        # ts goes to source ts % 4: one global merge would cut every run to
+        # a single tuple.  Merged per component, each predicate-index m-op
+        # sees its own source in max_batch-sized batches.
+        events, max_batch = 4000, 64
+        schema = synthetic_schema()
+        rng = np.random.default_rng(10)
+        values = rng.integers(0, 50, size=(events, len(schema)))
+        per_source = [[] for __ in range(4)]
+        for ts in range(events):
+            per_source[ts % 4].append(
+                StreamTuple(schema, tuple(int(v) for v in values[ts]), ts)
+            )
+        plan, handles = four_component_zipf()
+        engine = StreamEngine(plan, max_batch=max_batch, observe=True)
+        engine.run(
+            [
+                StreamSource(plan.channel_of(handle), tuples)
+                for handle, tuples in zip(handles, per_source)
+            ]
+        )
+        index_records = [
+            record
+            for record in engine.mop_stats().values()
+            if record["kind"] == "σ-index"
+        ]
+        assert len(index_records) == 4
+        per_component = events // 4
+        for record in index_records:
+            assert record["tuples_in"] == per_component
+            assert record["per_tuple_calls"] == 0
+            assert record["batches"] == -(-per_component // max_batch)
+
 
 # -- sharded axis: the equivalence contract extends across shards -------------------
 
 
 class TestShardedRandomInterleavings:
     """Property: sharded execution == per-tuple single engine, any
-    interleaving, any batch size, any shard count, either feed."""
+    interleaving, any batch size, any shard count."""
 
     @given(
         events=event_entries(n_streams=3),
         max_batch=max_batches,
         n_shards=st.integers(1, 3),
-        feed=st.sampled_from(["local", "router"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_sharded_equals_per_tuple(self, events, max_batch, n_shards, feed):
+    def test_sharded_equals_per_tuple(self, events, max_batch, n_shards):
         from repro.shard import ShardedEngine
 
         by_stream = split_entries(events, n_streams=3)
@@ -385,12 +498,7 @@ class TestShardedRandomInterleavings:
 
         plan, handles = two_component_plan()
         sharded = ShardedEngine(
-            plan,
-            n_shards,
-            parallel=False,
-            feed=feed,
-            capture_outputs=True,
-            max_batch=max_batch,
+            plan, n_shards, capture_outputs=True, max_batch=max_batch
         )
         run = sharded.run(sources_of(plan, handles))
         aggregate = run.aggregate

@@ -13,7 +13,7 @@ shipping, decoding, fault accounting and schema retirement all composed.
 import pytest
 
 from repro import RuntimeConfig, open_runtime
-from repro.errors import LifecycleError, PlanError
+from repro.errors import LifecycleError
 from repro.shard import (
     ProcessShardedRuntime,
     ShardedEngine,
@@ -170,45 +170,6 @@ class TestSchemaRetirement:
             proc.close()
 
 
-class TestShardedEngineDataPlane:
-    def test_inline_router_columnar_matches_single_engine(self):
-        per_source = interleaved_tuples(3, 400)
-        factory = lambda: partitionable_plan()
-        rows = lambda plan, handles: make_sources(plan, handles, per_source)
-        single = single_engine_run(factory, rows)
-        for data_plane in ("columnar", "pickle"):
-            plan, handles = factory()
-            sharded = ShardedEngine(
-                plan, 3, parallel=False, feed="router",
-                capture_outputs=True, max_batch=64, data_plane=data_plane,
-            )
-            run = sharded.run(rows(plan, handles))
-            assert run.mode == "inline"
-            assert run.spawn_seconds == 0.0
-            assert run.aggregate.outputs_by_query == single[0].outputs_by_query
-            assert run.aggregate.input_events == single[0].input_events
-            assert sharded.captured == single[1]
-
-    @needs_fork
-    @pytest.mark.parametrize("data_plane", ["columnar", "pickle"])
-    def test_process_router_matches_single_engine(self, data_plane):
-        per_source = interleaved_tuples(3, 200)
-        factory = lambda: partitionable_plan()
-        rows = lambda plan, handles: make_sources(plan, handles, per_source)
-        single = single_engine_run(factory, rows)
-        plan, handles = factory()
-        sharded = ShardedEngine(
-            plan, 3, parallel=True, feed="router",
-            capture_outputs=True, data_plane=data_plane,
-        )
-        run = sharded.run(rows(plan, handles))
-        assert run.mode == "process"
-        assert run.spawn_seconds >= 0.0
-        assert run.aggregate.outputs_by_query == single[0].outputs_by_query
-        assert run.aggregate.input_events == single[0].input_events
-        assert sharded.captured == single[1]
-
-
 class TestColumnarNativeSources:
     def test_single_engine_columnar_source_matches_rows(self):
         """A columnar-born source (zero-copy ``iter_runs`` slices) drives
@@ -225,8 +186,7 @@ class TestColumnarNativeSources:
         assert from_cols[0].input_events == from_rows[0].input_events
         assert from_cols[1] == from_rows[1]
 
-    @pytest.mark.parametrize("feed_mode", ["local", "router"])
-    def test_sharded_inline_columnar_sources_match_rows(self, feed_mode):
+    def test_sharded_inline_columnar_sources_match_rows(self):
         per_source = interleaved_tuples(3, 300)
         factory = lambda: partitionable_plan()
         rows = lambda plan, handles: make_sources(plan, handles, per_source)
@@ -235,40 +195,14 @@ class TestColumnarNativeSources:
         )
         single = single_engine_run(factory, rows)
         plan, handles = factory()
-        sharded = ShardedEngine(
-            plan, 2, parallel=False, feed=feed_mode,
-            capture_outputs=True, max_batch=64,
-        )
+        sharded = ShardedEngine(plan, 2, capture_outputs=True, max_batch=64)
         run = sharded.run(cols(plan, handles))
         assert run.aggregate.outputs_by_query == single[0].outputs_by_query
         assert run.aggregate.input_events == single[0].input_events
         assert sharded.captured == single[1]
 
-    @needs_fork
-    def test_sharded_process_columnar_sources_match_rows(self):
-        per_source = interleaved_tuples(3, 200)
-        factory = lambda: partitionable_plan()
-        rows = lambda plan, handles: make_sources(plan, handles, per_source)
-        cols = lambda plan, handles: columnar_sources(
-            plan, handles, per_source
-        )
-        single = single_engine_run(factory, rows)
-        plan, handles = factory()
-        sharded = ShardedEngine(
-            plan, 2, parallel=True, feed="router", capture_outputs=True
-        )
-        run = sharded.run(cols(plan, handles))
-        assert run.mode == "process"
-        assert run.aggregate.outputs_by_query == single[0].outputs_by_query
-        assert sharded.captured == single[1]
-
 
 class TestDataPlaneValidation:
-    def test_engine_rejects_unknown_plane(self):
-        plan, __ = partitionable_plan(num_sources=1, queries_per_source=1)
-        with pytest.raises(PlanError, match="data_plane"):
-            ShardedEngine(plan, 2, data_plane="arrow")
-
     def test_config_rejects_unknown_plane(self):
         config = RuntimeConfig(
             sources={"S": SCHEMA}, process=True, data_plane="arrow"

@@ -28,16 +28,23 @@ def throughput_results(headline=5.0, zipf=5.0, churn=1.0):
     }
 
 
-def shard_results(headline=3.0):
+def shard_results(headline=6.0, bridge=2.0):
     return {
-        "headline": {"sharded_4x_speedup": headline},
+        "headline": {"component_merge_speedup": headline},
         "workloads": {
             "partitionable_zipf": {
                 "cells": {
                     "single_batched": {"events_per_sec": 1.0},
-                    "sharded_4": {"speedup_vs_single_batched": headline},
+                    "fleet_4": {"speedup": 0.2, "parallel_efficiency": 0.1},
                 }
-            }
+            },
+            "bridge": {
+                "cells": {
+                    "sharded_4_bridge_split": {
+                        "speedup_vs_single_batched": bridge
+                    },
+                }
+            },
         },
     }
 
@@ -52,11 +59,15 @@ class TestIterSpeedups:
 
     def test_extracts_shard_metrics(self):
         metrics = dict(iter_speedups(shard_results()))
-        assert metrics["headline.sharded_4x_speedup"] == 3.0
-        assert (
-            metrics["partitionable_zipf.sharded_4.speedup_vs_single_batched"]
-            == 3.0
-        )
+        assert metrics == {
+            "headline.component_merge_speedup": 6.0,
+            "bridge.sharded_4_bridge_split.speedup_vs_single_batched": 2.0,
+        }
+
+    def test_retired_shard_headline_is_not_gated(self):
+        results = shard_results()
+        results["headline"]["sharded_4x_speedup"] = 7.0
+        assert "headline.sharded_4x_speedup" not in dict(iter_speedups(results))
 
 
 class TestCompare:
@@ -123,4 +134,11 @@ class TestMain:
             baseline = json.load(handle)
         metrics = dict(iter_speedups(baseline))
         assert "headline.optimized_zipf_batched_speedup" in metrics
+        assert compare(baseline, baseline, 0.8) == []
+
+    def test_real_committed_shard_baseline_is_gateable(self):
+        with open(REPO_ROOT / "BENCH_shard.smoke.baseline.json") as handle:
+            baseline = json.load(handle)
+        metrics = dict(iter_speedups(baseline))
+        assert "headline.component_merge_speedup" in metrics
         assert compare(baseline, baseline, 0.8) == []

@@ -6,8 +6,9 @@ from repro.core.plan import QueryPlan
 from repro.errors import PlanError
 from repro.mops.naive import NaiveMOp
 from repro.operators.expressions import attr, lit
-from repro.operators.predicates import Comparison
+from repro.operators.predicates import Comparison, DurationWithin
 from repro.operators.select import Selection
+from repro.operators.sequence import Sequence
 from repro.streams.schema import Schema
 from repro.streams.stream import StreamDef
 
@@ -188,3 +189,89 @@ class TestValidate:
         text = plan.describe()
         assert "m-ops" in text
         assert "S@S" in text
+
+
+class TestChannelComponents:
+    """``QueryPlan.channel_components``: the one grouping both the engine's
+    per-component merge and the shard planner use."""
+
+    @staticmethod
+    def _groups(plan):
+        groups = {}
+        for channel_id, root in plan.channel_components().items():
+            groups.setdefault(root, set()).add(channel_id)
+        return sorted(groups.values(), key=min)
+
+    def test_sources_without_mops_are_singletons(self):
+        plan = QueryPlan()
+        s1 = plan.add_source("S1", SCHEMA)
+        s2 = plan.add_source("S2", SCHEMA)
+        components = plan.channel_components()
+        assert components == {
+            plan.channel_of(s1).channel_id: plan.channel_of(s1).channel_id,
+            plan.channel_of(s2).channel_id: plan.channel_of(s2).channel_id,
+        }
+
+    def test_empty_plan_has_no_components(self):
+        assert QueryPlan().channel_components() == {}
+
+    def test_independent_selections_stay_apart(self):
+        plan = QueryPlan()
+        for name in ("S1", "S2", "S3"):
+            source = plan.add_source(name, SCHEMA)
+            out = plan.add_operator(selection(1), [source], query_id=name)
+            plan.mark_output(out, name)
+        assert len(self._groups(plan)) == 3
+
+    def test_derived_channel_joins_its_producer(self):
+        plan = QueryPlan()
+        source = plan.add_source("S", SCHEMA)
+        mid = plan.add_operator(selection(1), [source], query_id="q")
+        out = plan.add_operator(selection(2), [mid], query_id="q")
+        plan.mark_output(out, "q")
+        components = plan.channel_components()
+        roots = {
+            components[plan.channel_of(stream).channel_id]
+            for stream in (source, mid, out)
+        }
+        assert len(roots) == 1
+
+    def test_binary_mop_joins_its_input_channels(self):
+        plan = QueryPlan()
+        s = plan.add_source("S", SCHEMA)
+        t = plan.add_source("T", SCHEMA)
+        u = plan.add_source("U", SCHEMA)
+        seq = plan.add_operator(Sequence(DurationWithin(5)), [s, t], query_id="q")
+        plan.mark_output(seq, "q")
+        components = plan.channel_components()
+        root = components[plan.channel_of(s).channel_id]
+        assert components[plan.channel_of(t).channel_id] == root
+        assert components[plan.channel_of(seq).channel_id] == root
+        assert components[plan.channel_of(u).channel_id] != root
+
+    def test_query_sinks_on_two_channels_join_them(self):
+        # No m-op touches both sources, but one query's output order spans
+        # them, so they must drain in one timestamp merge.
+        plan = QueryPlan()
+        s = plan.add_source("S", SCHEMA)
+        t = plan.add_source("T", SCHEMA)
+        out_s = plan.add_operator(selection(1), [s], query_id="q")
+        out_t = plan.add_operator(selection(1), [t], query_id="q")
+        plan.mark_output(out_s, "q")
+        plan.mark_output(out_t, "q")
+        components = plan.channel_components()
+        assert (
+            components[plan.channel_of(s).channel_id]
+            == components[plan.channel_of(t).channel_id]
+        )
+
+    def test_representative_is_a_member_of_its_component(self):
+        plan = QueryPlan()
+        s = plan.add_source("S", SCHEMA)
+        t = plan.add_source("T", SCHEMA)
+        seq = plan.add_operator(Sequence(DurationWithin(5)), [s, t], query_id="q")
+        plan.mark_output(seq, "q")
+        components = plan.channel_components()
+        assert set(components) == {channel.channel_id for channel in plan.channels()}
+        for root in components.values():
+            assert components[root] == root

@@ -1,10 +1,9 @@
-"""Sharded engine: output equality with the single engine, all modes/feeds.
+"""Sharded engine: output equality with the single engine.
 
-The sharded contract extends the batched one: for every plan and every
-mode (inline / process workers) and feed (local split / wire-routed), the
-union of per-shard outputs — per-query counts, content, timestamps *and*
-order — equals the single batched engine's, and aggregate input accounting
-matches (each source event counted exactly once).
+The sharded contract extends the batched one: for every plan and shard
+count, the union of per-shard outputs — per-query counts, content,
+timestamps *and* order — equals the single batched engine's, and aggregate
+input accounting matches (each source event counted exactly once).
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ from repro.operators.expressions import attr, lit, right
 from repro.operators.predicates import Comparison, DurationWithin, conjunction
 from repro.operators.select import Selection
 from repro.operators.sequence import Sequence
-from repro.shard import ShardedEngine, SourceRouter, fork_available
+from repro.shard import ShardedEngine
 from repro.streams.schema import Schema
 from repro.streams.sources import StreamSource
 from repro.streams.tuples import StreamTuple
@@ -84,8 +83,7 @@ def assert_sharded_equivalent(single, sharded_engine, sharded_stats):
 class TestShardedEquivalence:
     @pytest.mark.parametrize("optimize", [False, True])
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
-    @pytest.mark.parametrize("feed", ["local", "router"])
-    def test_inline_modes_match_single_engine(self, optimize, n_shards, feed):
+    def test_inline_shards_match_single_engine(self, optimize, n_shards):
         per_source = interleaved_tuples(3, 400)
         factory = lambda: partitionable_plan(optimize=optimize)
         sources_factory = lambda plan, handles: make_sources(
@@ -94,29 +92,10 @@ class TestShardedEquivalence:
         single = single_engine_run(factory, sources_factory)
         plan, handles = factory()
         sharded = ShardedEngine(
-            plan, n_shards, parallel=False, feed=feed, capture_outputs=True,
-            max_batch=64,
+            plan, n_shards, capture_outputs=True, max_batch=64
         )
         run = sharded.run(sources_factory(plan, handles))
-        assert run.mode == "inline"
         assert len(run.per_shard) == n_shards
-        assert_sharded_equivalent(single, sharded, run)
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-    @pytest.mark.parametrize("feed", ["local", "router"])
-    def test_process_workers_match_single_engine(self, feed):
-        per_source = interleaved_tuples(3, 200)
-        factory = lambda: partitionable_plan()
-        sources_factory = lambda plan, handles: make_sources(
-            plan, handles, per_source
-        )
-        single = single_engine_run(factory, sources_factory)
-        plan, handles = factory()
-        sharded = ShardedEngine(
-            plan, 3, parallel=True, feed=feed, capture_outputs=True
-        )
-        run = sharded.run(sources_factory(plan, handles))
-        assert run.mode == "process"
         assert_sharded_equivalent(single, sharded, run)
 
     def test_stateful_sequence_component(self):
@@ -161,17 +140,14 @@ class TestShardedEquivalence:
         single = single_engine_run(factory, sources_factory)
         assert single[0].output_events > 0
         plan, handles = factory()
-        sharded = ShardedEngine(plan, 2, parallel=False, capture_outputs=True)
+        sharded = ShardedEngine(plan, 2, capture_outputs=True)
         run = sharded.run(sources_factory(plan, handles))
         assert_sharded_equivalent(single, sharded, run)
         assert sharded.shard_plan.effective_shards == 2
 
-    @pytest.mark.parametrize("feed", ["local", "router"])
-    def test_unconsumed_source_still_counted(self, feed):
+    def test_unconsumed_source_still_counted(self):
         # A source no query reads: the single engine still counts its
-        # events, so the sharded aggregate must too — on both feeds (the
-        # router cannot ship runs for a channel no decoder knows, so it
-        # counts them coordinator-side instead of crashing).
+        # events, so the sharded aggregate must too.
         schema = Schema.numbered(1)
 
         def factory():
@@ -195,72 +171,41 @@ class TestShardedEquivalence:
         )
         single = single_engine_run(factory, sources_factory)
         plan, handles = factory()
-        sharded = ShardedEngine(
-            plan, 2, parallel=False, feed=feed, capture_outputs=True
-        )
+        sharded = ShardedEngine(plan, 2, capture_outputs=True)
         run = sharded.run(sources_factory(plan, handles))
         assert run.aggregate.input_events == single[0].input_events == 40
         assert run.aggregate.outputs_by_query == single[0].outputs_by_query
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-    def test_worker_failure_raises_not_hangs(self):
-        # A source whose iterable raises mid-stream inside the worker must
-        # surface as a PlanError with the shard's traceback, not deadlock
-        # the coordinator.
-        schema = synthetic_schema()
-
-        def exploding():
-            yield StreamTuple(schema, tuple(range(10)), 0)
-            raise RuntimeError("boom in worker")
-
-        plan, handles = partitionable_plan(num_sources=2)
-        sources = [
-            StreamSource(plan.channel_of(handles[0]), exploding()),
-            StreamSource(
-                plan.channel_of(handles[1]),
-                [StreamTuple(schema, tuple(range(10)), 1)],
-            ),
-        ]
-        sharded = ShardedEngine(plan, 2, parallel=True, feed="local")
-        with pytest.raises(PlanError, match="boom in worker"):
-            sharded.run(sources)
-
-
-class TestSourceRouter:
-    def test_routes_by_channel_with_stable_fallback(self):
-        router = SourceRouter({10: 1, 11: 0}, 2)
-        assert router.shard_of_channel(10) == 1
-        assert router.shard_of_channel(11) == 0
-        assert router.shard_of_channel(999) == router.shard_of_channel(999)
-        assert 0 <= router.shard_of_channel(999) < 2
+        # The unconsumed channel has no shard in the plan; it drains on
+        # the stable fallback shard (channel id modulo shard count).
+        s_id = plan.channel_of(handles[0]).channel_id
+        dead_id = plan.channel_of(handles[1]).channel_id
+        assert dead_id not in sharded.shard_plan.channel_shard
+        counts = [0, 0]
+        counts[sharded.shard_plan.channel_shard[s_id]] += 20
+        counts[dead_id % 2] += 20
+        assert [stats.input_events for stats in run.per_shard] == counts
 
     def test_rejects_bad_shard_count(self):
+        plan, __ = partitionable_plan(num_sources=2)
         with pytest.raises(PlanError):
-            SourceRouter({}, 0)
-
-    def test_split_sources_partitions_by_owner(self):
-        plan, handles = partitionable_plan(num_sources=2)
-        per_source = interleaved_tuples(2, 10)
-        sources = make_sources(plan, handles, per_source)
-        sharded = ShardedEngine(plan, 2, parallel=False)
-        split = sharded.router.split_sources(sources)
-        assert sorted(len(bucket) for bucket in split) == [1, 1]
+            ShardedEngine(plan, 0)
 
 
 class TestShardedRunStats:
     def test_wall_and_busy_seconds(self):
         plan, handles = partitionable_plan(num_sources=2)
         per_source = interleaved_tuples(2, 100)
-        sharded = ShardedEngine(plan, 2, parallel=False)
+        sharded = ShardedEngine(plan, 2)
         run = sharded.run(make_sources(plan, handles, per_source))
         assert run.wall_seconds > 0
         assert run.busy_seconds > 0
         assert run.throughput > 0
         assert "2 shards" in str(run)
 
-    def test_config_validation(self):
+    def test_rejects_removed_execution_knobs(self):
+        # One execution mode is left: shards drain inline.  Parallel
+        # serving is the process fleet behind ``open_runtime``.
         plan, __ = partitionable_plan(num_sources=2)
-        with pytest.raises(PlanError):
-            ShardedEngine(plan, 2, feed="bogus")
-        with pytest.raises(PlanError):
-            ShardedEngine(plan, 2, parallel="yes")
+        for knob in ("parallel", "feed", "data_plane", "worker_cap"):
+            with pytest.raises(TypeError):
+                ShardedEngine(plan, 2, **{knob: None})

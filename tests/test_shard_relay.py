@@ -1,11 +1,11 @@
 """Cross-shard relay: split components serve byte-identically.
 
 The relay contract: when the planner cuts an oversized component at a
-bridge channel, the sharded engine — inline or process workers, local or
-router feed, columnar or pickle plane — produces outputs byte-identical
+bridge channel, the inline sharded engine produces outputs byte-identical
 to the single batched engine (per-query content, timestamps *and* order),
 and aggregate input accounting still counts every source event exactly
-once (relayed tuples are deducted, not double-counted).
+once (relayed tuples are deducted, not double-counted).  The same property
+over forked workers is held by ``tests/test_relay_live.py``.
 """
 
 import pytest
@@ -17,12 +17,8 @@ from repro.operators.expressions import attr, lit, right
 from repro.operators.predicates import Comparison, DurationWithin, conjunction
 from repro.operators.select import Selection
 from repro.operators.sequence import Sequence
-from repro.shard import ShardedEngine, fork_available
-from repro.shard.relay import (
-    BufferedRunSource,
-    RelayInbox,
-    deduct_relay_inputs,
-)
+from repro.shard import ShardedEngine
+from repro.shard.relay import BufferedRunSource, deduct_relay_inputs
 from repro.shard.wire import RelayCodec
 from repro.engine.metrics import RunStats
 from repro.streams.channel import ChannelTuple
@@ -93,44 +89,33 @@ def assert_equivalent(single, sharded, run):
 
 
 class TestInlineRelayEquivalence:
-    @pytest.mark.parametrize("feed", ["local", "router"])
-    @pytest.mark.parametrize("data_plane", ["columnar", "pickle"])
-    def test_split_bridge_matches_single_engine(self, feed, data_plane):
+    def test_split_bridge_matches_single_engine(self):
         single = single_run()
         assert single[0].output_events > 0
         plan, handles = bridge_plan()
-        sharded = ShardedEngine(
-            plan, 2, parallel=False, feed=feed, capture_outputs=True,
-            data_plane=data_plane, max_batch=64,
-        )
+        sharded = ShardedEngine(plan, 2, capture_outputs=True, max_batch=64)
         assert sharded.shard_plan.relays, "bridge component must split"
         assert sharded.shard_plan.effective_shards == 2
         run = sharded.run(make_sources(plan, handles, bridge_tuples()))
-        assert run.mode == "inline"
         assert_equivalent(single, sharded, run)
 
     def test_split_false_keeps_component_whole(self):
         single = single_run()
         plan, handles = bridge_plan()
-        sharded = ShardedEngine(
-            plan, 2, parallel=False, capture_outputs=True, split=False
-        )
+        sharded = ShardedEngine(plan, 2, capture_outputs=True, split=False)
         assert sharded.shard_plan.relays == []
         assert sharded.shard_plan.effective_shards == 1
         run = sharded.run(make_sources(plan, handles, bridge_tuples()))
         assert_equivalent(single, sharded, run)
 
-    @pytest.mark.parametrize("feed", ["local", "router"])
-    def test_passthrough_query_beside_split_component(self, feed):
+    def test_passthrough_query_beside_split_component(self):
         # The pass-through sink (directly on source T) used to abort
         # partitioning; now it rides T's shard and its captured outputs
         # must match the single engine even while the component splits.
         single = single_run(passthrough=True)
         assert single[1]["q_raw"], "pass-through must capture"
         plan, handles = bridge_plan(passthrough=True)
-        sharded = ShardedEngine(
-            plan, 2, parallel=False, feed=feed, capture_outputs=True
-        )
+        sharded = ShardedEngine(plan, 2, capture_outputs=True)
         assert sharded.shard_plan.relays
         run = sharded.run(make_sources(plan, handles, bridge_tuples()))
         assert_equivalent(single, sharded, run)
@@ -141,7 +126,7 @@ class TestInlineRelayEquivalence:
         plan, handles = bridge_plan()
         single_plan, single_handles = bridge_plan()
         engine = StreamEngine(single_plan, capture_outputs=True)
-        sharded = ShardedEngine(plan, 2, parallel=False, capture_outputs=True)
+        sharded = ShardedEngine(plan, 2, capture_outputs=True)
         for offset in (0, 1000):
             tuples = [[], []]
             for ts in range(offset, offset + 120):
@@ -151,47 +136,64 @@ class TestInlineRelayEquivalence:
         assert sharded.captured == engine.captured
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-class TestProcessRelayEquivalence:
-    @pytest.mark.parametrize("feed", ["local", "router"])
-    def test_cross_worker_streaming_relay(self, feed):
-        # worker_cap=2 forces the two fragments onto different worker
-        # processes, so the relay crosses a real mp.Queue mid-drain.
-        single = single_run()
-        plan, handles = bridge_plan()
-        sharded = ShardedEngine(
-            plan, 2, parallel=True, feed=feed, capture_outputs=True,
-            worker_cap=2,
+def three_bridge_plan():
+    """Three bridge components; only the third has a selection cluster, so
+    3- and 4-shard placements cut components but co-locate adjacent
+    fragments."""
+    schema = Schema.numbered(3)
+    plan = QueryPlan()
+    handles = []
+    for component, cluster in enumerate((0, 0, 2)):
+        s = plan.add_source(f"S{component}", schema)
+        t = plan.add_source(f"T{component}", schema)
+        for position in range(cluster):
+            out = plan.add_operator(
+                Selection(Comparison(attr("a0"), "==", lit(position))),
+                [s],
+                query_id=f"q_c{component}_{position}",
+            )
+            plan.mark_output(out, f"q_c{component}_{position}")
+        sel = plan.add_operator(
+            Selection(Comparison(attr("a1"), "<", lit(60))),
+            [s],
+            query_id=f"q_sel{component}",
         )
-        assert sharded.shard_plan.relays
-        assert len(sharded._worker_slots()) == 2
-        run = sharded.run(make_sources(plan, handles, bridge_tuples()))
-        assert run.mode == "process"
-        assert_equivalent(single, sharded, run)
+        plan.mark_output(sel, f"q_sel{component}")
+        seq = plan.add_operator(
+            Sequence(
+                conjunction(
+                    [DurationWithin(5), Comparison(right("a0"), "==", lit(1))]
+                )
+            ),
+            [sel, t],
+            query_id=f"q_seq{component}",
+        )
+        plan.mark_output(seq, f"q_seq{component}")
+        handles += [s, t]
+    tuples = [[] for __ in handles]
+    for ts in range(600):
+        tuples[ts % len(handles)].append(
+            StreamTuple(schema, (ts % 3, ts % 100, ts % 5), ts)
+        )
+    return plan, handles, tuples
 
-    @pytest.mark.parametrize("feed", ["local", "router"])
-    def test_single_worker_hosts_both_fragments(self, feed):
-        # worker_cap=1: both fragments in one worker, relay frames buffer
-        # in-process — the 1-CPU default topology.
-        single = single_run()
-        plan, handles = bridge_plan()
-        sharded = ShardedEngine(
-            plan, 2, parallel=True, feed=feed, capture_outputs=True,
-            worker_cap=1,
-        )
-        run = sharded.run(make_sources(plan, handles, bridge_tuples()))
-        assert run.mode == "process"
-        assert_equivalent(single, sharded, run)
 
-    def test_pickle_plane_cross_worker(self):
-        single = single_run()
-        plan, handles = bridge_plan()
-        sharded = ShardedEngine(
-            plan, 2, parallel=True, feed="router", capture_outputs=True,
-            worker_cap=2, data_plane="pickle",
-        )
-        run = sharded.run(make_sources(plan, handles, bridge_tuples()))
-        assert_equivalent(single, sharded, run)
+class TestColocatedFragments:
+    @pytest.mark.parametrize("n_shards", [3, 4])
+    def test_colocated_fragments_drain_together(self, n_shards):
+        # Cut fragments that land on one shard reconnect through its
+        # sub-plan; they must drain as one unit — with no relay left at
+        # all (3 shards) or beside relayed fragments (4 shards).
+        plan, handles, tuples = three_bridge_plan()
+        engine = StreamEngine(plan, capture_outputs=True)
+        stats = engine.run(make_sources(plan, handles, tuples))
+        plan, handles, tuples = three_bridge_plan()
+        sharded = ShardedEngine(plan, n_shards, capture_outputs=True)
+        shard_plan = sharded.shard_plan
+        cuts = len(shard_plan.components) - 3
+        assert cuts > len(shard_plan.relays)
+        run = sharded.run(make_sources(plan, handles, tuples))
+        assert_equivalent((stats, engine.captured), sharded, run)
 
 
 class TestRelayPrimitives:
@@ -208,12 +210,13 @@ class TestRelayPrimitives:
 
     def test_buffered_source_rechunks_and_counts(self):
         channel = self._channel()
-        runs = [(channel, self._run(channel, 0, 10))]
-        source = BufferedRunSource(runs)
+        runs = [self._run(channel, 0, 10)]
+        source = BufferedRunSource(channel, runs)
         chunks = list(source.iter_runs(4))
         assert [len(batch) for __, batch in chunks] == [4, 4, 2]
+        assert all(chunk_channel is channel for chunk_channel, __ in chunks)
         assert source.delivered == 10
-        source = BufferedRunSource(runs, channel=channel)
+        source = BufferedRunSource(channel, runs)
         assert len(list(source)) == 10
         assert source.delivered == 10
 
@@ -231,34 +234,6 @@ class TestRelayPrimitives:
         frames = sender.encode(self._run(channel, 5, 8))
         with pytest.raises(ChannelError):
             fresh.decode(frames[-1])
-
-    def test_inbox_demuxes_edges_and_detects_starvation(self):
-        import queue as queue_module
-
-        channel = self._channel()
-        feed = queue_module.Queue()
-        sender_a = RelayCodec(1, channel)
-        sender_b = RelayCodec(2, channel)
-        codecs = {
-            1: RelayCodec(1, channel),
-            2: RelayCodec(2, channel),
-        }
-        for frame in sender_a.encode(self._run(channel, 0, 3)):
-            feed.put(frame)
-        for frame in sender_b.encode(self._run(channel, 3, 6)):
-            feed.put(frame)
-        feed.put(sender_a.encode_eof())
-        inbox = RelayInbox(feed, codecs, timeout=0.05)
-        # Edge 2's frames buffer while edge 1 drains, and vice versa.
-        __, batch_b = inbox.next_batch(2)
-        assert [ct.ts for ct in batch_b.channel_tuples()] == [3, 4, 5]
-        __, batch_a = inbox.next_batch(1)
-        assert [ct.ts for ct in batch_a.channel_tuples()] == [0, 1, 2]
-        assert inbox.next_batch(1) is None
-        # Edge 2 never got its EOF: the starvation bound turns a would-be
-        # deadlock into an error.
-        with pytest.raises(ChannelError, match="starved"):
-            inbox.next_batch(2)
 
     def test_deduct_relay_inputs(self):
         stats = RunStats()

@@ -154,7 +154,6 @@ class TestShardedRunStatsMath:
         run = ShardedRunStats(
             per_shard=[self._stats(100, 10, 0.2), self._stats(50, 5, 0.3)],
             wall_seconds=0.4,
-            mode="process",
         )
         assert run.busy_seconds == pytest.approx(0.5)
         assert run.wall_seconds == pytest.approx(0.4)
