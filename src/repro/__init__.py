@@ -99,12 +99,7 @@ from repro.core import (
 )
 from repro.engine import MigrationStats, RunStats, StreamEngine, migrate_engine
 from repro.runtime import QueryRuntime, RuntimeConfig, open_runtime
-from repro.shard import (
-    ShardPlanner,
-    ShardedEngine,
-    ShardedRunStats,
-    ShardedRuntime,
-)
+from repro.shard import ShardPlanner, ShardedEngine, ShardedRunStats
 
 __version__ = "1.1.0"
 
@@ -179,5 +174,4 @@ __all__ = [
     "ShardPlanner",
     "ShardedEngine",
     "ShardedRunStats",
-    "ShardedRuntime",
 ]

@@ -15,7 +15,8 @@ with a deterministic mid-stream worker crash
 Reported per policy: recovery wall-clock, tuples replayed (the replay
 volume the checkpoint interval bounds), lifecycle commands replayed,
 operator state restored from blobs, and whether the post-recovery serve is
-byte-identical to a fault-free in-process reference.
+byte-identical to a fault-free reference served on inline workers
+(``open_runtime(shards=2)``).
 
 Exit criteria — the script exits non-zero, printing ``FAIL:`` and the
 violated criterion (all are deterministic structural comparisons, no

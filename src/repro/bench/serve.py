@@ -200,6 +200,13 @@ def _overlap_arm(scale: ServeScale, runs: list, pipelined: bool) -> dict:
         command_seconds += time.perf_counter() - t0
         elapsed = time.perf_counter() - start
         captured = normalize_captured(runtime.captured)
+        runs_by_transport: dict[str, int] = {}
+        for sample in runtime.metrics_registry().snapshot()["samples"]:
+            if sample["name"] == "rumor_runs_shipped_total":
+                transport = sample["labels"]["transport"]
+                runs_by_transport[transport] = (
+                    runs_by_transport.get(transport, 0) + sample["value"]
+                )
     finally:
         runtime.close()
     events = sum(len(run) for run in runs)
@@ -209,6 +216,7 @@ def _overlap_arm(scale: ServeScale, runs: list, pipelined: bool) -> dict:
         "lifecycle_seconds": lifecycle_seconds,
         "events_per_sec": events / elapsed,
         "captured": captured,
+        "runs_by_transport": runs_by_transport,
     }
 
 
@@ -263,6 +271,9 @@ def run_overlap_cell(scale: ServeScale) -> dict:
         "floor": scale.overlap_floor,
         "outputs_identical": True,
         "outputs": outputs,
+        # Shipped runs per data transport (summed over shards), from the
+        # overlapped arm: packable input should never need ``pickle``.
+        "runs_by_transport": overlapped["runs_by_transport"],
     }
 
 

@@ -20,9 +20,9 @@ Three subcommands cover the downstream-user loop:
     arrive and depart (Poisson churn) while the stream flows, each change
     handled by incremental re-optimization and state-preserving engine
     migration — or, with ``--full-rebuild``, by the stop-the-world baseline.
-    ``--shards N`` serves over the sharded lifecycle runtime with periodic
-    component rebalancing (``--policy count|throughput``); ``--process``
-    pushes each shard onto a worker process behind the command protocol;
+    ``--shards N`` serves over the sharded coordinator (inline workers)
+    with periodic component rebalancing (``--policy count|throughput``);
+    ``--process`` forks one worker process per shard instead;
     ``--durable`` / ``--checkpoint-every N`` / ``--checkpoint-dir DIR``
     enable the durable checkpoint subsystem (crashed workers restore from
     their last checkpoint and replay the write-ahead-log suffix instead of
@@ -244,22 +244,16 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=int,
         default=None,
-        help="serve over N shards with the sharded lifecycle runtime "
-        "(default: 1, or 2 with --process)",
+        help="serve over N shards on the sharded coordinator; without "
+        "--process its workers run inline in this process (default: 1, or "
+        "2 with --process)",
     )
     group.add_argument(
         "--process",
         action="store_true",
-        help="run each shard on a worker process (command protocol + "
-        "cross-process rebalance)",
-    )
-    group.add_argument(
-        "--data-plane",
-        choices=("columnar", "pickle"),
-        default="columnar",
-        help="process mode: source-run transport — 'columnar' ships packed "
-        "columns over shared-memory rings (per-run pickle fallback), "
-        "'pickle' forces the legacy tuple wire (the equivalence oracle)",
+        help="fork one worker process per shard (same coordinator and "
+        "command protocol as inline workers; adds parallelism, crash "
+        "isolation and durability)",
     )
     group.add_argument(
         "--full-rebuild",
@@ -374,7 +368,6 @@ def _runtime_config_from_args(
         track_latency=args.latency,
         incremental=not args.full_rebuild,
         observe=args.observe,
-        data_plane=args.data_plane,
         durable=args.durable,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
@@ -485,7 +478,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
 
 
 def _churn_sharded(args: argparse.Namespace, config, workload) -> int:
-    """Serve the churn schedule over shards — in-process or worker processes."""
+    """Serve the churn schedule over shards — inline or forked workers."""
     from repro.runtime import open_runtime
     from repro.shard import QueryCountPolicy, ThroughputPolicy
     from repro.workloads.churn import drive_sharded
@@ -561,35 +554,31 @@ def _churn_sharded(args: argparse.Namespace, config, workload) -> int:
                     f"  [{event.at:>6}] {event.kind:<10} {event.query_id:<6} "
                     f"loads={runtime.shard_loads()}"
                 )
-        stats = (
-            runtime.collect_stats() if args.process else runtime.stats
-        )
-        print(stats)
+        print(runtime.collect_stats())
         print(
             f"  final active queries: {len(runtime.active_queries)}, "
             f"loads: {runtime.shard_loads()}, "
             f"rebalances: {runtime.rebalances}, "
             f"oversized alerts: {policy.oversized_alerts}"
         )
-        if args.process:
-            print(f"  crash recoveries: {runtime.crash_recoveries}")
-            for report in runtime.recovery_log:
-                print(f"    {report}")
-            if runtime.durable:
-                runtime.collect_checkpoints()
-                print(
-                    f"  checkpoints stored: {runtime.checkpoints_stored} "
-                    f"({runtime.checkpoint_failures} failures), "
-                    f"wal spans: "
-                    f"{[runtime.wal_span(s) for s in runtime.shard_ids()]}"
-                )
-            if args.coordinator_journal:
-                print(
-                    f"  coordinator journal: {args.coordinator_journal} "
-                    f"({runtime._journal.record_count()} records since last "
-                    f"snapshot); resume with --resume"
-                )
-            print(runtime.describe())
+        print(f"  crash recoveries: {runtime.crash_recoveries}")
+        for report in runtime.recovery_log:
+            print(f"    {report}")
+        if runtime.durable:
+            runtime.collect_checkpoints()
+            print(
+                f"  checkpoints stored: {runtime.checkpoints_stored} "
+                f"({runtime.checkpoint_failures} failures), "
+                f"wal spans: "
+                f"{[runtime.wal_span(s) for s in runtime.shard_ids()]}"
+            )
+        if args.coordinator_journal:
+            print(
+                f"  coordinator journal: {args.coordinator_journal} "
+                f"({runtime._journal.record_count()} records since last "
+                f"snapshot); resume with --resume"
+            )
+        print(runtime.describe())
         if args.metrics_out:
             _dump_metrics(runtime, args.metrics_out)
             print(f"  wrote metrics to {args.metrics_out}")
@@ -611,8 +600,7 @@ def _churn_sharded(args: argparse.Namespace, config, workload) -> int:
                 f"{args.events_out}"
             )
     finally:
-        if args.process:
-            runtime.close()
+        runtime.close()
     return 0
 
 

@@ -1,19 +1,17 @@
 """The unified runtime entry point: one config, one factory.
 
-The three runtimes accreted divergent constructor surfaces as the stack
-grew — :class:`~repro.runtime.QueryRuntime` (PR 1),
-:class:`~repro.shard.runtime.ShardedRuntime` (PR 3) and
-:class:`~repro.shard.proc.ProcessShardedRuntime` (PR 4+) each take a
-different kwarg set (``durable=``, ``checkpoint_every=``, ``store=``,
-``journal=``, ``observe=`` …), and every caller — CLI, benchmarks, tests —
-re-implemented the "which runtime do I build" decision tree.
-
-:class:`RuntimeConfig` is the single declarative surface and
-:func:`open_runtime` the single factory:
+There are two runtimes — :class:`~repro.runtime.QueryRuntime`, one live
+plan + engine, and :class:`~repro.shard.proc.ProcessShardedRuntime`, the
+sharded coordinator over a fleet of workers — and they take different
+kwarg sets (``durable=``, ``checkpoint_every=``, ``store=``, ``journal=``,
+``observe=`` …).  :class:`RuntimeConfig` is the single declarative surface
+and :func:`open_runtime` the single factory, so no caller — CLI,
+benchmarks, tests — re-implements the "which runtime do I build" decision:
 
 - ``shards=1`` (no ``process``) → a plain :class:`QueryRuntime`;
-- ``shards>1`` → an in-process :class:`ShardedRuntime`;
-- ``process=True`` → a :class:`ProcessShardedRuntime` with worker
+- ``shards>1`` → the coordinator with **inline** workers (same frames,
+  applied by direct call in this process);
+- ``process=True`` → the same coordinator with **forked** worker
   processes (default 2 shards), optionally durable / checkpointed /
   journaled;
 - ``resume=True`` → cold-start from ``journal`` via
@@ -87,17 +85,14 @@ class RuntimeConfig:
     sources: Optional[dict] = None
     #: Shard count; ``None`` means 1 in-process, 2 with ``process=True``.
     shards: Optional[int] = None
-    #: Serve each shard on a forked worker process (command protocol).
+    #: Serve each shard on a forked worker process; without it, shards
+    #: are inline workers of the same coordinator.
     process: bool = False
     capture_outputs: bool = False
     track_latency: bool = False
     incremental: bool = True
     observe: bool = False
     max_batch: int = 1024
-    #: Process mode: source-run transport — ``"columnar"`` ships packed
-    #: columns over per-worker shared-memory rings (pickle fallback per
-    #: run), ``"pickle"`` forces the legacy tuple wire everywhere.
-    data_plane: str = "columnar"
     #: Process mode: keep per-shard write-ahead logs for crash recovery.
     durable: bool = False
     #: Process mode: checkpoint every N batches (implies ``durable``).
@@ -141,8 +136,8 @@ class RuntimeConfig:
         ) and not self.process:
             raise LifecycleError(
                 "durable/checkpoint_every/checkpoint_dir require process "
-                "mode — add process=True (--process): the in-process "
-                "runtimes have no workers to lose"
+                "mode — add process=True (--process): in-process workers "
+                "cannot be lost apart from the coordinator"
             )
         if (self.journal or self.resume) and not self.process:
             raise LifecycleError(
@@ -159,11 +154,6 @@ class RuntimeConfig:
             raise LifecycleError(
                 f"max_batch must be at least 1, got {self.max_batch}"
             )
-        if self.data_plane not in ("columnar", "pickle"):
-            raise LifecycleError(
-                f"data_plane must be 'columnar' or 'pickle', got "
-                f"{self.data_plane!r} (--data-plane columnar|pickle)"
-            )
         return self
 
 
@@ -172,10 +162,10 @@ def open_runtime(config: Optional[RuntimeConfig] = None, **overrides):
 
     ``overrides`` are applied on top of ``config`` (or a default config),
     so quick call sites can write ``open_runtime(sources=..., shards=4)``
-    without building the dataclass first.  Returns one of
-    :class:`~repro.runtime.QueryRuntime`,
-    :class:`~repro.shard.runtime.ShardedRuntime` or
-    :class:`~repro.shard.proc.ProcessShardedRuntime`.
+    without building the dataclass first.  Returns a
+    :class:`~repro.runtime.QueryRuntime` for one in-process shard, else a
+    :class:`~repro.shard.proc.ProcessShardedRuntime` whose workers are
+    forked with ``process=True`` and inline without it.
     """
     if config is None:
         config = RuntimeConfig()
@@ -183,20 +173,8 @@ def open_runtime(config: Optional[RuntimeConfig] = None, **overrides):
         config = replace(config, **overrides)
     config.validate()
     with internal_construction():
-        if config.process:
-            return _open_process(config)
-        if config.resolved_shards > 1:
-            from repro.shard.runtime import ShardedRuntime
-
-            return ShardedRuntime(
-                config.sources,
-                n_shards=config.resolved_shards,
-                capture_outputs=config.capture_outputs,
-                track_latency=config.track_latency,
-                incremental=config.incremental,
-                observe=config.observe,
-                **config.extra,
-            )
+        if config.process or config.resolved_shards > 1:
+            return _open_sharded(config)
         from repro.runtime.runtime import QueryRuntime
 
         return QueryRuntime(
@@ -209,7 +187,7 @@ def open_runtime(config: Optional[RuntimeConfig] = None, **overrides):
         )
 
 
-def _open_process(config: RuntimeConfig):
+def _open_sharded(config: RuntimeConfig):
     from repro.shard.proc import ProcessShardedRuntime
 
     if config.resume:
@@ -233,7 +211,7 @@ def _open_process(config: RuntimeConfig):
         incremental=config.incremental,
         observe=config.observe,
         max_batch=config.max_batch,
-        data_plane=config.data_plane,
+        inline=not config.process,
         durable=config.durable,
         checkpoint_every=config.checkpoint_every,
         store=store,

@@ -147,10 +147,12 @@ class QueryRuntime:
     ) -> StreamDef:
         """Adopt an *existing* source stream (shared-object sharding contract).
 
-        Shard runtimes created by :class:`~repro.shard.runtime.ShardedRuntime`
-        all adopt the same source ``StreamDef``/``Channel`` objects, so a
-        component's wiring signatures survive a move between shard plans and
-        its executors can be reused, state intact.
+        Every worker of a :class:`~repro.shard.proc.ProcessShardedRuntime`
+        adopts the coordinator's source ``StreamDef``/``Channel`` objects —
+        the same objects for inline workers, fork-inherited copies with the
+        same ids for forked ones — so a component's wiring signatures
+        survive a move between shard plans and its executors are re-seeded
+        with their state intact.
         """
         if stream.name in self.streams:
             raise LifecycleError(f"source {stream.name!r} is already declared")

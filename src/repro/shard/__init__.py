@@ -7,14 +7,17 @@ parallel placement (queries sharing any m-op necessarily co-locate), and a
 single :class:`~repro.engine.executor.StreamEngine` already drains them one
 after another.  This package partitions a plan along those lines
 (:class:`ShardPlanner`, which also cuts oversized components at bridge
-channels), drives a cut plan inline, one batched engine per shard, with the
-bridge runs relayed between fragments (:class:`ShardedEngine`), and extends
-the online lifecycle across shards with state-preserving component
-rebalancing (:class:`ShardedRuntime`).  Parallel serving is the process
-fleet below, opened with :func:`~repro.runtime.config.open_runtime`.
+channels) and drives a cut plan inline, one batched engine per shard, with
+the bridge runs relayed between fragments (:class:`ShardedEngine`).
 
-The process-mode runtime (:class:`ProcessShardedRuntime`) adds cluster-grade
-durability on top: per-shard write-ahead logs and versioned checkpoints
+The online lifecycle runs across shards on one coordinator,
+:class:`ProcessShardedRuntime`, opened with
+:func:`~repro.runtime.config.open_runtime`: placement, routing, relays and
+state-preserving component rebalancing over a fleet of workers that speak
+one command protocol.  ``shards=N`` gives inline workers in the calling
+process; ``process=True`` forks one worker process per shard for parallel
+serving.  The coordinator adds cluster-grade durability on top (forked
+workers): per-shard write-ahead logs and versioned checkpoints
 (:class:`CheckpointStore`) recover crashed workers, a coordinator journal
 (:class:`CoordinatorLog`) makes the coordinator itself restartable — cold
 start from disk or re-adoption of still-live workers
@@ -51,7 +54,6 @@ from repro.shard.proc import (
     WorkerFaults,
     fork_available,
 )
-from repro.shard.runtime import ShardedRuntime
 from repro.shard.stats import ShardedRunStats, merge_run_stats
 from repro.shard.wire import WireDecoder, WireEncoder
 
@@ -76,7 +78,6 @@ __all__ = [
     "ShardPlanner",
     "ShardedEngine",
     "ShardedRunStats",
-    "ShardedRuntime",
     "ThroughputPolicy",
     "WireDecoder",
     "WireEncoder",

@@ -1,14 +1,14 @@
-"""Rebalance policies for the sharded lifecycle runtimes.
+"""Rebalance policies for the sharded coordinator.
 
-A policy looks at a runtime (in-process :class:`~repro.shard.runtime.ShardedRuntime`
-or process-mode :class:`~repro.shard.proc.ProcessShardedRuntime` — both
-expose ``shard_loads`` / ``queries_on`` / ``shard_stats`` /
-``component_queries``) and proposes an ordered iterable of
+A policy looks at a :class:`~repro.shard.proc.ProcessShardedRuntime`
+(inline or forked workers — its ``shard_ids`` / ``shard_loads`` /
+``queries_on`` / ``shard_stats`` / ``component_queries`` /
+``shard_telemetry``) and proposes an ordered iterable of
 ``(query_id, to_shard)`` candidate moves; the churn driver tries them
 until one sticks (a candidate can fail when its component turns out to
 co-locate with queries the policy did not know about).  Candidates are
-yielded lazily: the per-candidate component lookup — one worker RPC in
-process mode — is only paid for candidates the caller actually tries.
+yielded lazily: the per-candidate component lookup — one worker RPC — is
+only paid for candidates the caller actually tries.
 
 Two policies:
 
@@ -57,19 +57,6 @@ class SplitProposal:
     per_shard_target: int
 
 
-def _shard_ids(runtime) -> list[int]:
-    """Live shard ids in ``shard_loads`` order.
-
-    Elastic process-mode runtimes have sparse ids (retired ids are never
-    reused), so policies must key every signal by id, never by position.
-    Runtimes predating :meth:`shard_ids` are contiguous by construction.
-    """
-    accessor = getattr(runtime, "shard_ids", None)
-    if accessor is None:
-        return list(range(runtime.n_shards))
-    return list(accessor())
-
-
 class RebalancePolicy:
     """Base: propose candidate moves; track oversized-component alerts.
 
@@ -100,7 +87,7 @@ class RebalancePolicy:
         tracked locally while choosing, so one call proposes the whole
         seeding batch without re-polling the runtime.
         """
-        ids = _shard_ids(runtime)
+        ids = runtime.shard_ids()
         loads = dict(zip(ids, runtime.shard_loads()))
         loads.setdefault(new_shard, 0)
         total = sum(loads.values())
@@ -132,21 +119,6 @@ class RebalancePolicy:
         """
         return None
 
-    def _component_queries(self, runtime, query_id: str) -> Optional[list[str]]:
-        """The queries moving with ``query_id``, when the runtime can tell.
-
-        The in-process runtime inspects its live plans; the process-mode
-        runtime resolves it with one worker RPC — which is why
-        :meth:`_filter_oversized` only looks up candidates the caller
-        actually consumes.  A runtime without the accessor skips the
-        oversized pre-check entirely (the move itself still carries the
-        whole component either way).
-        """
-        resolver = getattr(runtime, "component_queries", None)
-        if resolver is None:
-            return None
-        return resolver(query_id)
-
     def _improves(self, donor_load: int, target_load: int, size: int) -> bool:
         """Whether moving a ``size``-query component can improve balance.
 
@@ -162,17 +134,14 @@ class RebalancePolicy:
     ):
         """Yield candidates whose component could improve the balance.
 
-        Lazy on purpose: the component lookup costs a worker round-trip in
-        process mode, and the churn driver stops at the first candidate
-        that rebalances successfully — later candidates are never priced.
+        Lazy on purpose: the component lookup costs a worker round-trip,
+        and the churn driver stops at the first candidate that rebalances
+        successfully — later candidates are never priced.
         """
         total = len(runtime.active_queries)
         per_shard_target = math.ceil(total / runtime.n_shards) if total else 0
         for query_id, to_shard in candidates:
-            component = self._component_queries(runtime, query_id)
-            if component is None:
-                yield query_id, to_shard
-                continue
+            component = runtime.component_queries(query_id)
             size = len(component)
             if not self._improves(donor_load, target_load, size):
                 # Moving the whole component cannot improve the balance.
@@ -206,7 +175,7 @@ class QueryCountPolicy(RebalancePolicy):
     """Level active query counts (the PR-3 drive_sharded heuristic)."""
 
     def propose(self, runtime) -> list[tuple[str, int]]:
-        ids = _shard_ids(runtime)
+        ids = runtime.shard_ids()
         loads = dict(zip(ids, runtime.shard_loads()))
         donor = max(ids, key=lambda shard: (loads[shard], -shard))
         target = min(ids, key=lambda shard: (loads[shard], shard))
@@ -268,7 +237,7 @@ class ThroughputPolicy(RebalancePolicy):
         return size < donor_load
 
     def propose(self, runtime) -> list[tuple[str, int]]:
-        ids = _shard_ids(runtime)
+        ids = runtime.shard_ids()
         stats = runtime.shard_stats()
         busy = {
             shard: entry.elapsed_seconds for shard, entry in zip(ids, stats)
@@ -332,7 +301,7 @@ class ThroughputPolicy(RebalancePolicy):
             return None
         survivors = [
             shard
-            for shard in _shard_ids(runtime)
+            for shard in runtime.shard_ids()
             if shard != departing and shard in self._previous_busy
         ]
         if not survivors:
@@ -344,16 +313,12 @@ class ThroughputPolicy(RebalancePolicy):
 
     def _busy_heat_deltas(self, runtime, ids) -> Optional[dict]:
         """Per-shard ``{query_id: busy-seconds delta}`` maps keyed by shard
-        id, or ``None`` when busy heat is off or the runtime exposes no
-        telemetry."""
+        id, or ``None`` when busy heat is off."""
         if self.heat != "busy":
-            return None
-        telemetry = getattr(runtime, "shard_telemetry", None)
-        if telemetry is None:
             return None
         heat_now = {
             shard: dict(view["query_heat"])
-            for shard, view in zip(ids, telemetry())
+            for shard, view in zip(ids, runtime.shard_telemetry())
         }
         if (
             self._previous_heat is None

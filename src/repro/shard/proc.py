@@ -1,11 +1,23 @@
-"""The process-mode sharded lifecycle runtime.
+"""The sharded lifecycle runtime: one coordinator over a fleet of workers.
 
-:class:`ProcessShardedRuntime` is the cross-process sibling of
-:class:`~repro.shard.runtime.ShardedRuntime`: the same API (register /
-unregister / reoptimize / process / process_batch / rebalance), but every
-shard's :class:`~repro.runtime.QueryRuntime` lives on a forked **worker
-process**, driven by a command protocol layered on the
-:mod:`~repro.shard.wire` frame format.
+:class:`ProcessShardedRuntime` extends the single-runtime lifecycle
+(register / unregister / reoptimize / process / process_batch) to ``n``
+shards and adds state-preserving component ``rebalance``.  Every shard's
+:class:`~repro.runtime.QueryRuntime` sits behind a **worker**, driven by a
+command protocol layered on the :mod:`~repro.shard.wire` frame format.
+Placement, routing, relays, rebalance, elastic resize and recovery live
+in the coordinator once; the worker transport is chosen at construction:
+
+- **forked** workers (``open_runtime(process=True)``) are child processes
+  reading frames off a queue, with source runs in a shared-memory ring —
+  the parallel, crash-isolated serve;
+- **inline** workers (``open_runtime(shards=N)`` without ``process``) live
+  in the coordinator's process: ``commands.put`` applies the same frame by
+  direct call and replies land on a local queue.  They share the
+  coordinator's id counters and source objects and get source runs as
+  ``crun`` frames.  No parallelism, no child process — and no crash
+  injection (``worker_faults``), since exiting the worker would exit the
+  coordinator.
 
 Protocol
 --------
@@ -122,13 +134,15 @@ moves.
 Determinism
 -----------
 
-With no injected faults, a process-mode serve is event-for-event identical
-to the in-process :class:`ShardedRuntime` over the same schedule: placement
-uses the same least-loaded heuristic, routing the same query→source
-catalog, and each worker's ``QueryRuntime`` sees the exact per-shard
-subsequence of events and lifecycle calls.  The property suite
-(``tests/test_shardproc_equivalence.py``) asserts byte-identical captured
-outputs across random churn schedules with mid-stream rebalances.
+With no injected faults, forked = inline = single engine: a forked serve
+is event-for-event identical to an inline serve of the same schedule (the
+transports carry the same frames in the same order to the same worker
+code), and both match one :class:`~repro.runtime.QueryRuntime` fed that
+schedule — queries are disjoint across shards and m-ops share work only
+inside one plan, so sharding is placement, never semantics.  The property
+suite (``tests/test_shardproc_equivalence.py``) asserts byte-identical
+captured outputs across the two transports over random churn schedules
+with mid-stream rebalances, and equal outputs against the single engine.
 """
 
 from __future__ import annotations
@@ -354,9 +368,9 @@ class _WorkerHandle:
     commands: object
     replies: object
     incarnation: int
-    #: Shared-memory data ring (columnar plane), fork-inherited by the
-    #: worker; None on the pickle plane.  Rides the handle so re-adoption
-    #: hands the live ring to the successor coordinator with the queues.
+    #: Shared-memory data ring, fork-inherited by a forked worker; None
+    #: for inline workers.  Rides the handle so re-adoption hands the live
+    #: ring to the successor coordinator with the queues.
     ring: Optional[RingBuffer] = None
 
 
@@ -465,9 +479,7 @@ def _apply_command(runtime: QueryRuntime, kind: str, payload, recorder=None):
         alias = payload["alias"]
         start, runs, produced = runtime.collect_relay(alias, payload["ack"])
         codec = RelayCodec(
-            payload["edge"],
-            runtime.relay_exports[alias]["alias_channel"],
-            columnar=payload.get("columnar", True),
+            payload["edge"], runtime.relay_exports[alias]["alias_channel"]
         )
         frames = []
         for run in runs:
@@ -512,43 +524,54 @@ def _apply_command(runtime: QueryRuntime, kind: str, payload, recorder=None):
     raise LifecycleError(f"unknown command kind {kind!r}")
 
 
-def _worker_main(
-    shard: int,
-    incarnation: int,
-    streams: list[StreamDef],
-    channels: dict[str, Channel],
-    commands,
-    replies,
-    options: _WorkerOptions,
-    faults: Optional[WorkerFaults],
-    ring: Optional[RingBuffer] = None,
-) -> None:
-    """Worker body: one QueryRuntime served by the command/data loop."""
-    reseed_identifiers(worker_id_base(incarnation))
-    with internal_construction():
-        runtime = QueryRuntime(
-            capture_outputs=options.capture_outputs,
-            track_latency=options.track_latency,
-            incremental=options.incremental,
-            observe=options.observe,
+class _Worker:
+    """One shard's :class:`QueryRuntime` behind the command/data protocol.
+
+    Holds the runtime, the wire decoder, the reply cache and the fault
+    counters; :meth:`handle` applies one frame and puts any reply on
+    ``replies``.  Both transports drive the same object: a forked worker
+    loops ``commands.get()`` → :meth:`handle` (:func:`_worker_main`), an
+    inline worker's command queue calls :meth:`handle` on ``put``.
+    """
+
+    def __init__(
+        self,
+        shard: int,
+        incarnation: int,
+        streams: list[StreamDef],
+        channels: dict[str, Channel],
+        replies,
+        options: _WorkerOptions,
+        faults: Optional[WorkerFaults] = None,
+        ring: Optional[RingBuffer] = None,
+    ):
+        with internal_construction():
+            self.runtime = QueryRuntime(
+                capture_outputs=options.capture_outputs,
+                track_latency=options.track_latency,
+                incremental=options.incremental,
+                observe=options.observe,
+            )
+        for stream in streams:
+            self.runtime.adopt_source(stream, channels[stream.name])
+        self.shard = shard
+        self.incarnation = incarnation
+        self.replies = replies
+        self.faults = faults
+        self.ring = ring
+        self.recorder = (
+            SpanRecorder(f"w{shard}.{incarnation}") if options.observe else None
         )
-    for stream in streams:
-        runtime.adopt_source(stream, channels[stream.name])
-    recorder = (
-        SpanRecorder(f"w{shard}.{incarnation}") if options.observe else None
-    )
-    decoder = WireDecoder(channels.values())
-    counts: dict[str, int] = {}
-    cache: OrderedDict[int, tuple] = OrderedDict()
-    max_seq = 0
-    while True:
-        try:
-            frame = commands.get()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
+        self.decoder = WireDecoder(channels.values())
+        self.counts: dict[str, int] = {}
+        self.cache: OrderedDict[int, tuple] = OrderedDict()
+        self.max_seq = 0
+
+    def handle(self, frame) -> bool:
+        """Apply one frame; False once the frame is ``stop``."""
         kind = frame[0]
         if kind == STOP:
-            return
+            return False
         if (
             kind == SCHEMA
             or kind == RUN
@@ -556,59 +579,59 @@ def _worker_main(
             or kind == RING
             or kind == SCHEMA_RETIRE
         ):
-            crashing = False
-            is_data = kind == RUN or kind == CRUN or kind == RING
-            if is_data and faults is not None:
-                count = counts.get("data", 0) + 1
-                counts["data"] = count
-                crashing = faults.matches("data", count)
-                if crashing and faults.when == "before":
-                    os._exit(faults.exit_code)
-            trace = frame_trace(frame) if recorder is not None else None
-            if kind == RING:
-                # The marker announces one packed record already resident
-                # in the shared ring; the queue put that delivered the
-                # marker is the memory barrier, so the bytes are present.
-                decoded = decoder.decode_ring(ring.read(frame[1]))
-            else:
-                decoded = decoder.decode(frame)
-            if decoded is not None:
-                channel, batch = decoded
-                # Source channels are singletons in the lifecycle runtime,
-                # so the run maps 1:1 onto the stream's own batch path.
-                stream = channel.streams[0]
-                if isinstance(batch, ColumnBatch):
-                    if trace is not None:
-                        with recorder.span(
-                            "data:apply",
-                            trace[0],
-                            parent_id=trace[1],
-                            shard=shard,
-                            stream=stream.name,
-                            count=batch.count,
-                        ):
-                            runtime.process_columns(stream.name, batch)
-                    else:
-                        runtime.process_columns(stream.name, batch)
-                else:
-                    tuples = [
-                        channel_tuple.tuple for channel_tuple in batch
-                    ]
-                    if trace is not None:
-                        with recorder.span(
-                            "data:apply",
-                            trace[0],
-                            parent_id=trace[1],
-                            shard=shard,
-                            stream=stream.name,
-                            count=len(tuples),
-                        ):
-                            runtime.process_batch(stream.name, tuples)
-                    else:
-                        runtime.process_batch(stream.name, tuples)
-            if crashing and faults.when == "after":
+            self._apply_data(kind, frame)
+        else:
+            self._apply_command_frame(frame)
+        return True
+
+    def _apply_data(self, kind: str, frame) -> None:
+        faults = self.faults
+        crashing = False
+        is_data = kind == RUN or kind == CRUN or kind == RING
+        if is_data and faults is not None:
+            count = self.counts.get("data", 0) + 1
+            self.counts["data"] = count
+            crashing = faults.matches("data", count)
+            if crashing and faults.when == "before":
                 os._exit(faults.exit_code)
-            continue
+        recorder = self.recorder
+        trace = frame_trace(frame) if recorder is not None else None
+        if kind == RING:
+            # The marker announces one packed record already resident in
+            # the shared ring; the queue put that delivered the marker is
+            # the memory barrier, so the bytes are present.
+            decoded = self.decoder.decode_ring(self.ring.read(frame[1]))
+        else:
+            decoded = self.decoder.decode(frame)
+        if decoded is not None:
+            channel, batch = decoded
+            # Source channels are singletons in the lifecycle runtime, so
+            # the run maps 1:1 onto the stream's own batch path.
+            stream = channel.streams[0]
+            runtime = self.runtime
+            if isinstance(batch, ColumnBatch):
+                apply, rows, count = runtime.process_columns, batch, batch.count
+            else:
+                rows = [channel_tuple.tuple for channel_tuple in batch]
+                apply, count = runtime.process_batch, len(rows)
+            if trace is not None:
+                with recorder.span(
+                    "data:apply",
+                    trace[0],
+                    parent_id=trace[1],
+                    shard=self.shard,
+                    stream=stream.name,
+                    count=count,
+                ):
+                    apply(stream.name, rows)
+            else:
+                apply(stream.name, rows)
+        if crashing and faults.when == "after":
+            os._exit(faults.exit_code)
+
+    def _apply_command_frame(self, frame) -> None:
+        runtime = self.runtime
+        recorder = self.recorder
         trace = frame_trace(frame) if recorder is not None else None
         kind, seq, payload = decode_command(frame)
         if kind == HELLO or kind == PING:
@@ -621,42 +644,43 @@ def _worker_main(
             # real commands only.  The reply is a pure read — repeats are
             # safe, and a hung runtime (not a dead process) simply never
             # gets here, which is exactly what the ping probe detects.
-            replies.put(
+            self.replies.put(
                 encode_reply(
                     seq,
                     OK,
                     {
-                        "shard": shard,
-                        "incarnation": incarnation,
-                        "max_seq": max_seq,
+                        "shard": self.shard,
+                        "incarnation": self.incarnation,
+                        "max_seq": self.max_seq,
                         "cursor": dict(runtime.cursor),
                         "active_queries": sorted(runtime.active_queries),
                         "exports": sorted(runtime.relay_exports),
                     },
                 )
             )
-            continue
-        if seq > max_seq:
-            max_seq = seq
+            return
+        if seq > self.max_seq:
+            self.max_seq = seq
+        faults = self.faults
         fault_kind = kind if kind != REBALANCE else f"rebalance-{payload[0]}"
-        count = counts.get(fault_kind, 0) + 1
-        counts[fault_kind] = count
+        count = self.counts.get(fault_kind, 0) + 1
+        self.counts[fault_kind] = count
         crashing = faults is not None and faults.matches(fault_kind, count)
         if crashing and faults.when == "before":
             os._exit(faults.exit_code)
-        cached = cache.get(seq)
+        cached = self.cache.get(seq)
         if cached is not None:
             # Duplicate (retransmitted or fault-injected) command: answer
             # from the cache, never re-apply.
-            replies.put(cached)
-            continue
+            self.replies.put(cached)
+            return
         try:
             if trace is not None:
                 with recorder.span(
                     f"apply:{fault_kind}",
                     trace[0],
                     parent_id=trace[1],
-                    shard=shard,
+                    shard=self.shard,
                 ):
                     result = _apply_command(runtime, kind, payload, recorder)
             else:
@@ -666,7 +690,7 @@ def _worker_main(
                 # channel, or relayed runs shipped on it cannot decode.
                 adopted = result.get("channel")
                 if adopted is not None:
-                    decoder.add_channel(adopted)
+                    self.decoder.add_channel(adopted)
             status = OK
         except RumorError as error:
             status, result = ERR, f"{type(error).__name__}: {error}"
@@ -675,20 +699,75 @@ def _worker_main(
         if crashing and faults.when == "after":
             os._exit(faults.exit_code)
         reply = encode_reply(seq, status, result)
-        cache[seq] = reply
-        while len(cache) > _REPLY_CACHE:
-            cache.popitem(last=False)
-        replies.put(reply)
+        self.cache[seq] = reply
+        while len(self.cache) > _REPLY_CACHE:
+            self.cache.popitem(last=False)
+        self.replies.put(reply)
+
+
+def _worker_main(
+    shard: int,
+    incarnation: int,
+    streams: list[StreamDef],
+    channels: dict[str, Channel],
+    commands,
+    replies,
+    options: _WorkerOptions,
+    faults: Optional[WorkerFaults],
+    ring: Optional[RingBuffer] = None,
+) -> None:
+    """Forked worker body: a fresh id range, then the command/data loop."""
+    reseed_identifiers(worker_id_base(incarnation))
+    worker = _Worker(
+        shard, incarnation, streams, channels, replies, options, faults, ring
+    )
+    while True:
+        try:
+            frame = commands.get()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        if not worker.handle(frame):
+            return
+
+
+class _InlineCommands:
+    """An inline worker's command queue: ``put`` applies the frame now."""
+
+    def __init__(self, worker: _Worker):
+        self._worker = worker
+
+    def put(self, frame) -> None:
+        self._worker.handle(frame)
+
+
+class _InlineProcess:
+    """Process stand-in for an inline worker: it lives as long as the
+    coordinator, so it never exits and never needs joining."""
+
+    exitcode = None
+
+    @property
+    def pid(self) -> int:
+        return os.getpid()
+
+    def is_alive(self) -> bool:
+        return True
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        pass
+
+    def terminate(self) -> None:
+        pass
 
 
 class ProcessShardedRuntime:
-    """``n`` worker-process QueryRuntimes serving one changing population.
+    """``n`` worker QueryRuntimes serving one changing population.
 
-    Mirrors the :class:`~repro.shard.runtime.ShardedRuntime` API; see the
-    module docstring for the protocol and failure semantics.  Sources must
-    all be declared before the first lifecycle or event call — workers fork
-    with the source stream/channel objects, which is what keeps ids and
-    wiring signatures consistent across every process.
+    See the module docstring for the transports, the protocol and the
+    failure semantics.  Sources must all be declared before the first
+    lifecycle or event call — workers start with the source stream/channel
+    objects, which is what keeps ids and wiring signatures consistent
+    across every worker.
     """
 
     def __init__(
@@ -699,7 +778,7 @@ class ProcessShardedRuntime:
         track_latency: bool = False,
         incremental: bool = True,
         max_batch: int = 1024,
-        data_plane: str = "columnar",
+        inline: bool = False,
         command_timeout: float = 2.0,
         max_retries: int = 30,
         retry_budget: float = 0.0,
@@ -717,10 +796,20 @@ class ProcessShardedRuntime:
         _handoff: Optional[CoordinatorHandoff] = None,
     ):
         warn_direct_construction("ProcessShardedRuntime")
-        if not fork_available():
+        #: Worker transport, fixed for the runtime's life: inline workers
+        #: apply frames by direct call in this process, forked workers
+        #: read them off a queue (and a shared-memory data ring).
+        self.inline = bool(inline)
+        if self.inline and worker_faults:
             raise LifecycleError(
-                "ProcessShardedRuntime requires the fork start method; "
-                "use ShardedRuntime on this platform"
+                "worker_faults need forked workers (process=True): an "
+                "injected crash exits the worker's process, which for "
+                "inline workers is the coordinator's own"
+            )
+        if not self.inline and not fork_available():
+            raise LifecycleError(
+                "forked workers need the fork start method; open the "
+                "runtime without process=True to serve on inline workers"
             )
         if checkpoint_every < 0:
             raise LifecycleError(
@@ -735,16 +824,6 @@ class ProcessShardedRuntime:
             raise LifecycleError(
                 f"retry_budget must be non-negative, got {retry_budget}"
             )
-        if data_plane not in ("columnar", "pickle"):
-            raise LifecycleError(
-                f"data_plane must be 'columnar' or 'pickle', "
-                f"got {data_plane!r}"
-            )
-        #: Data transport for source runs: ``"columnar"`` packs runs into
-        #: schema-interned columns shipped through per-worker shared-memory
-        #: rings (falling back to queue frames per run when unpackable);
-        #: ``"pickle"`` keeps every run on the legacy pickled-tuple wire.
-        self.data_plane = data_plane
         self._journal = (
             journal
             if isinstance(journal, CoordinatorLog) or journal is None
@@ -825,13 +904,15 @@ class ProcessShardedRuntime:
             incremental=incremental,
             observe=self.observe,
         )
-        self._context = multiprocessing.get_context("fork")
+        self._context = (
+            None if self.inline else multiprocessing.get_context("fork")
+        )
         self.streams: dict[str, StreamDef] = {}
         self._channels: dict[str, Channel] = {}
         self._source_labels: dict[str, Optional[str]] = {}
         #: query_id -> LogicalQuery (the recovery catalog), insertion order.
         self._queries: dict[str, LogicalQuery] = {}
-        #: query_id -> owning shard, insertion order (mirrors ShardedRuntime).
+        #: query_id -> owning shard, insertion order.
         self._query_shard: dict[str, int] = {}
         #: Live shard ids, in creation order.  Sparse after an elastic
         #: shrink: ids are never reused, so checkpoints, logs and journal
@@ -880,6 +961,9 @@ class ProcessShardedRuntime:
         #: Relayed (derived) tuples re-emitted across shards — volume
         #: counter only; relay traffic never counts as source input.
         self.relayed_events = 0
+        #: ``(shard, transport)`` → runs shipped, transport one of
+        #: ``ring`` / ``crun`` / ``pickle`` (see :meth:`_ship_run`).
+        self._runs_shipped: dict[tuple[int, str], int] = {}
         incarnation_start = 1
         if self._resume:
             state = self._journal.state
@@ -946,7 +1030,6 @@ class ProcessShardedRuntime:
                         "track_latency": track_latency,
                         "incremental": incremental,
                         "max_batch": max_batch,
-                        "data_plane": data_plane,
                         "checkpoint_every": checkpoint_every,
                         "observe": self.observe,
                         "differential": self.differential,
@@ -1039,11 +1122,11 @@ class ProcessShardedRuntime:
         schema: Schema,
         sharable_label: Optional[str] = None,
     ) -> StreamDef:
-        """Declare a source; must happen before the workers fork."""
+        """Declare a source; must happen before the workers start."""
         if self._started:
             raise LifecycleError(
                 "sources must be declared before the first lifecycle call "
-                "(workers inherit them at fork)"
+                "(workers adopt them when they start)"
             )
         if name in self.streams:
             raise LifecycleError(f"source {name!r} is already declared")
@@ -1098,13 +1181,33 @@ class ProcessShardedRuntime:
             # then always >= any incarnation that ever ran, so a resumed
             # coordinator can never alias a live worker's id range.
             self._journal.append("spawn", shard, incarnation)
+        if self.inline:
+            # Same frames, applied by direct call.  No id reseed: inline
+            # workers share this process's id counters, so their ids cannot
+            # collide.  They adopt the coordinator's own source objects and
+            # get no ring, so data reaches them as ``crun`` frames.
+            replies = queue_module.SimpleQueue()
+            worker = _Worker(
+                shard,
+                incarnation,
+                list(self.streams.values()),
+                self._channels,
+                replies,
+                self._options,
+            )
+            return _WorkerHandle(
+                process=_InlineProcess(),
+                commands=_InlineCommands(worker),
+                replies=replies,
+                incarnation=incarnation,
+            )
         commands = self._context.Queue()
         replies = self._context.Queue()
         # The data ring is allocated before the fork so the child inherits
         # the shared arena; a respawn gets a fresh ring (the dead
         # incarnation's unread bytes die with it — every announced record
         # was matched by a queue marker the new queue no longer holds).
-        ring = RingBuffer() if self.data_plane == "columnar" else None
+        ring = RingBuffer()
         process = self._context.Process(
             target=_worker_main,
             name=f"shard{shard}.{incarnation}",
@@ -2155,7 +2258,9 @@ class ProcessShardedRuntime:
         ]
 
     def place(self, logical: LogicalQuery) -> int:
-        """Least-loaded placement, identical to ShardedRuntime.place."""
+        """Least-loaded placement by active query count; ties break to the
+        lowest shard id so placement is deterministic.  Placement trades
+        cross-shard sharing for parallelism (README "Scaling out")."""
         loads = {shard: 0 for shard in self._shards}
         for owner in self._query_shard.values():
             loads[owner] += 1
@@ -2964,7 +3069,6 @@ class ProcessShardedRuntime:
                         "alias": alias,
                         "edge": info["edge"],
                         "ack": info["collected"],
-                        "columnar": self.data_plane == "columnar",
                     },
                 )
                 skip = info["collected"] - reply["start"]
@@ -2974,11 +3078,7 @@ class ProcessShardedRuntime:
                         f"from {reply['start']} but coordinator already "
                         f"collected {info['collected']}"
                     )
-                codec = RelayCodec(
-                    info["edge"],
-                    self._channels[alias],
-                    columnar=self.data_plane == "columnar",
-                )
+                codec = RelayCodec(info["edge"], self._channels[alias])
                 rows: list[StreamTuple] = []
                 for __, batch in decode_local_frames(reply["frames"], codec):
                     batch_rows = relay_rows(batch)
@@ -3105,15 +3205,16 @@ class ProcessShardedRuntime:
         used by re-adoption to close a worker's delivery deficit whose
         events the journal already counted.
 
-        Columnar plane: the run is packed once into schema-interned
-        columns and written into each consuming worker's shared-memory
-        ring, announced by a ``ring`` marker on that worker's ordered
-        queue (the marker is the ordering edge, so ring records interleave
-        safely with lifecycle frames and queue fallbacks).  A shard whose
-        ring is full, missing, or too small for the record receives the
-        same columns as a ``crun`` queue frame; a run that cannot pack at
-        all (mixed schema objects, oversized mask) ships on the legacy
-        pickle wire.  All three transports are byte-identical at the sink.
+        The run is packed once into schema-interned columns.  A forked
+        worker gets it written into its shared-memory ring, announced by
+        a ``ring`` marker on its ordered queue (the marker is the ordering
+        edge, so ring records interleave safely with lifecycle frames and
+        queue fallbacks).  An inline worker (no ring), or a forked one
+        whose ring is full or too small for the record, receives the same
+        columns as a ``crun`` frame.  A run that cannot pack at all (mixed
+        schemas, oversized mask) ships as a pickle ``run`` frame.  All
+        three transports are byte-identical at the sink; each shipped run
+        counts once per target shard in ``rumor_runs_shipped_total``.
         """
         stream = self.streams[stream_name]
         channel = self._channels[stream_name]
@@ -3131,11 +3232,8 @@ class ProcessShardedRuntime:
             trace = (self.trace_id, span.span_id)
             span.finish()  # ship is enqueue-only; the span marks lineage
             self.recorder.record(span)
-        batch = (
-            ColumnBatch.from_rows(stream.schema, chunk, bit)
-            if self.data_plane == "columnar"
-            else None
-        )
+        batch = ColumnBatch.from_rows(stream.schema, chunk, bit)
+        shipped = self._runs_shipped
         if batch is not None:
             frames = self._encoder.encode_run_columns(
                 channel, batch, trace=trace
@@ -3151,7 +3249,7 @@ class ProcessShardedRuntime:
             for shard in shards:
                 handle = self._workers[shard]
                 ring = handle.ring
-                shipped = False
+                transport = CRUN
                 if ring is not None:
                     if parts is None:
                         parts, total = pack_run_record(
@@ -3164,9 +3262,11 @@ class ProcessShardedRuntime:
                             else (RING, total, trace)
                         )
                         handle.commands.put(marker)
-                        shipped = True
-                if not shipped:
+                        transport = RING
+                if transport == CRUN:
                     handle.commands.put(crun)
+                key = (shard, transport)
+                shipped[key] = shipped.get(key, 0) + 1
         else:
             encoded = [ChannelTuple(tuple_, bit) for tuple_ in chunk]
             for frame in self._encoder.encode_run(
@@ -3179,6 +3279,9 @@ class ProcessShardedRuntime:
                 else:
                     for shard in shards:
                         self._workers[shard].commands.put(frame)
+            for shard in shards:
+                key = (shard, "pickle")
+                shipped[key] = shipped.get(key, 0) + 1
         if count:
             for shard in shards:
                 counts = self._shipped[shard]
@@ -3209,7 +3312,7 @@ class ProcessShardedRuntime:
 
         Worker counters sum (queries are disjoint across shards); input
         events come from the coordinator's own accounting so replicated
-        streams count once, matching ``ShardedRuntime.stats``.
+        streams count once, matching a single runtime's ``stats``.
         """
         merged = RunStats()
         for stats in self.shard_stats():
@@ -3226,8 +3329,7 @@ class ProcessShardedRuntime:
     def shard_telemetry(self) -> list[dict]:
         """Per-worker telemetry view via the extended ``stats`` RPC:
         ``{"shard", "mop_stats", "query_heat", "peak_state", "stats",
-        "state_size"}``, the same shape as
-        :meth:`~repro.shard.runtime.ShardedRuntime.shard_telemetry`.  When
+        "state_size"}``.  When
         observing, each worker's accumulated spans ride the reply and are
         merged into the coordinator's recorder, completing the trace tree."""
         self._ensure_started()
@@ -3286,6 +3388,10 @@ class ProcessShardedRuntime:
         registry.counter("rumor_checkpoint_wire_bytes_total").inc(
             self.checkpoint_wire_bytes
         )
+        for (shard, transport), runs in sorted(self._runs_shipped.items()):
+            registry.counter(
+                "rumor_runs_shipped_total", shard=shard, transport=transport
+            ).inc(runs)
         return registry
 
     @_locked
@@ -3340,7 +3446,8 @@ class ProcessShardedRuntime:
     def describe(self) -> str:
         lines = [
             f"ProcessShardedRuntime: {len(self._query_shard)} active queries "
-            f"over {self.n_shards} worker processes, "
+            f"over {self.n_shards} "
+            f"{'inline workers' if self.inline else 'worker processes'}, "
             f"loads={self.shard_loads()}, rebalances={self.rebalances}, "
             f"recoveries={self.crash_recoveries}"
         ]

@@ -94,9 +94,10 @@ class ColumnBatch:
         """Pack a run of stream tuples sharing ``schema`` under one mask.
 
         Returns ``None`` when the run is not packable — a tuple carries a
-        different schema object (mixed-schema runs stay on the pickle
-        wire), or the mask exceeds int64.  Unpackable *values* do not
-        disqualify a run; they land in ``'o'`` columns.
+        schema that differs from ``schema`` (mixed-schema runs stay on the
+        pickle wire; a distinct but equal schema object packs), or the
+        mask exceeds int64.  Unpackable *values* do not disqualify a run;
+        they land in ``'o'`` columns.
         """
         if not rows or not (0 < membership <= INT64_MAX):
             return None
@@ -104,9 +105,14 @@ class ColumnBatch:
         value_lists: list[list] = [[] for __ in range(width)]
         ts_list = []
         ts_append = ts_list.append
+        # Last schema object seen equal to ``schema``: the structural check
+        # runs once per distinct object, not once per row.
+        equal = schema
         for tuple_ in rows:
-            if tuple_.schema is not schema:
-                return None
+            if tuple_.schema is not equal:
+                if tuple_.schema != schema:
+                    return None
+                equal = tuple_.schema
             ts_append(tuple_.ts)
             values = tuple_.values
             for position in range(width):

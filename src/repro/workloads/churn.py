@@ -300,9 +300,9 @@ def drive_sharded(
     policy=None,
     heartbeat_interval: float = 0.0,
 ) -> Iterator[ChurnEvent]:
-    """Serve a churn schedule through a sharded lifecycle runtime
-    (in-process :class:`~repro.shard.ShardedRuntime` or process-mode
-    :class:`~repro.shard.proc.ProcessShardedRuntime`).
+    """Serve a churn schedule through the sharded coordinator
+    (:class:`~repro.shard.proc.ProcessShardedRuntime`, inline or forked
+    workers).
 
     Identical event/lifecycle interleaving to :func:`drive_batched` (batches
     flush before lifecycle boundaries, so registers, unregisters *and*
@@ -327,11 +327,11 @@ def drive_sharded(
 
         policy = QueryCountPolicy()
     applied = 0
-    # Process-mode runtimes expose a non-blocking health pass (collect
-    # pipelined checkpoint replies, recover workers that died mid-stream —
-    # data frames are fire-and-forget, so nothing else would notice until
-    # the next synchronous RPC).  In-process runtimes have no such method.
-    heartbeat = getattr(runtime, "heartbeat", None)
+    # The non-blocking health pass: collect pipelined checkpoint replies
+    # and recover workers that died mid-stream (data frames are
+    # fire-and-forget, so nothing else would notice until the next
+    # synchronous RPC).
+    heartbeat = runtime.heartbeat
 
     def maybe_rebalance() -> None:
         if not rebalance_every or applied % rebalance_every:
@@ -343,7 +343,7 @@ def drive_sharded(
                 continue
             return
 
-    if heartbeat_interval > 0 and heartbeat is not None:
+    if heartbeat_interval > 0:
         from repro.serve.drive import HeartbeatTimer
 
         timer = HeartbeatTimer(runtime, interval=heartbeat_interval)
@@ -360,12 +360,10 @@ def drive_sharded(
             runtime, stream_events, churn_events, max_batch
         ):
             applied += 1
-            if heartbeat is not None:
-                heartbeat()
+            heartbeat()
             maybe_rebalance()
             yield event
-        if heartbeat is not None:
-            heartbeat()
+        heartbeat()
     finally:
         if timer is not None:
             timer.stop()

@@ -351,8 +351,8 @@ def serve_churn_with_rebalance(runtime, workload: ChurnWorkload, rebalance_after
     From applied lifecycle event ``rebalance_after`` onwards, the first
     boundary where the most- and least-loaded shards differ moves one
     query's component between them (exactly once).  The decision depends
-    only on ``shard_loads``/``queries_on``, which the in-process and
-    process-mode runtimes expose identically — so serving the same
+    only on ``shard_loads``/``queries_on``, which the coordinator exposes
+    identically on inline and forked workers — so serving the same
     workload through both produces the same move, and their outputs can
     be compared byte-for-byte.
 
@@ -376,8 +376,6 @@ def serve_churn_with_rebalance(runtime, workload: ChurnWorkload, rebalance_after
                 result = runtime.rebalance(query_id, target)
             except LifecycleError:
                 continue
-            moved = sorted(
-                result if isinstance(result, list) else result.query_ids
-            )
+            moved = sorted(result)
             break
     return applied, moved

@@ -22,10 +22,10 @@ import signal
 import pytest
 
 from repro.errors import CheckpointError, LifecycleError
+from repro.runtime import open_runtime
 from repro.shard import (
     FrameFaults,
     ProcessShardedRuntime,
-    ShardedRuntime,
     WorkerFaults,
     fork_available,
 )
@@ -56,8 +56,8 @@ def kill_worker(proc: ProcessShardedRuntime, shard: int) -> None:
 
 
 def control_runtime(placements, first, last):
-    control = ShardedRuntime(
-        {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
+    control = open_runtime(
+        sources={"S": SCHEMA, "T": SCHEMA}, shards=2, capture_outputs=True
     )
     for text, query_id, shard in placements:
         control.register(text, query_id=query_id, shard=shard)
@@ -114,7 +114,10 @@ class TestCheckpointRacingRebalance:
             )
             assert proc.captured == control.captured
             stats = proc.collect_stats()
-            assert stats.outputs_by_query == control.stats.outputs_by_query
+            assert (
+                stats.outputs_by_query
+                == control.collect_stats().outputs_by_query
+            )
         finally:
             proc.close()
 
@@ -181,7 +184,10 @@ class TestCrashDuringSnapshot:
             )
             assert proc.captured == control.captured
             stats = proc.collect_stats()
-            assert stats.outputs_by_query == control.stats.outputs_by_query
+            assert (
+                stats.outputs_by_query
+                == control.collect_stats().outputs_by_query
+            )
         finally:
             proc.close()
 
@@ -267,8 +273,8 @@ class TestCheckpointProtocol:
             **FAST,
         )
         try:
-            control = ShardedRuntime(
-                {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
+            control = open_runtime(
+                sources={"S": SCHEMA, "T": SCHEMA}, shards=2, capture_outputs=True
             )
             for runtime in (proc, control):
                 runtime.register(AGG, query_id="agg", shard=0)
@@ -294,7 +300,10 @@ class TestCheckpointProtocol:
             assert proc.crash_recoveries == 0
             assert proc.captured == control.captured
             stats = proc.collect_stats()
-            assert stats.outputs_by_query == control.stats.outputs_by_query
+            assert (
+                stats.outputs_by_query
+                == control.collect_stats().outputs_by_query
+            )
         finally:
             proc.close()
 
@@ -373,8 +382,8 @@ class TestCheckpointProtocol:
                 "recovery restored a previous run's checkpoint"
             )
             assert report.queries_replayed == ["seq"]
-            control = ShardedRuntime(
-                {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
+            control = open_runtime(
+                sources={"S": SCHEMA, "T": SCHEMA}, shards=2, capture_outputs=True
             )
             control.register(SEQ, query_id="seq", shard=0)
             feed(control, 0, 60)

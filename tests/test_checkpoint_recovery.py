@@ -5,7 +5,8 @@ deterministic worker crashes at arbitrary points — mid-batch (between two
 data frames, where no RPC is watching), mid-lifecycle, mid-checkpoint —
 a durable :class:`ProcessShardedRuntime`'s captured outputs, per-query
 counters and operator state after recovery are **byte-identical** to a
-fault-free in-process :class:`ShardedRuntime` serving the same schedule.
+fault-free inline-worker runtime (``open_runtime(shards=2)``) serving the
+same schedule.
 
 Two layers:
 
@@ -22,7 +23,8 @@ Two layers:
 import pytest
 from hypothesis import given, settings
 
-from repro.shard import ProcessShardedRuntime, ShardedRuntime, WorkerFaults, fork_available
+from repro.runtime import open_runtime
+from repro.shard import ProcessShardedRuntime, WorkerFaults, fork_available
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.workloads.churn import drive_sharded
@@ -73,12 +75,15 @@ def settle(proc: ProcessShardedRuntime):
     return proc.collect_stats()
 
 
-def assert_identical(proc: ProcessShardedRuntime, reference: ShardedRuntime):
+def assert_identical(
+    proc: ProcessShardedRuntime, reference: ProcessShardedRuntime
+):
     stats = settle(proc)
     assert proc.captured == reference.captured
-    assert stats.outputs_by_query == reference.stats.outputs_by_query
-    assert stats.input_events == reference.stats.input_events
-    assert stats.output_events == reference.stats.output_events
+    expected = reference.collect_stats()
+    assert stats.outputs_by_query == expected.outputs_by_query
+    assert stats.input_events == expected.input_events
+    assert stats.output_events == expected.output_events
     assert sorted(proc.active_queries) == sorted(reference.active_queries)
     assert proc.state_size == reference.state_size
 
@@ -94,7 +99,9 @@ class TestCrashRecoveryProperty:
         process serve ends byte-identical to the fault-free in-process one,
         whether or not the drawn crash actually fired."""
         sources = {"S": workload.schema, "T": workload.schema}
-        reference = ShardedRuntime(sources, n_shards=2, capture_outputs=True)
+        reference = open_runtime(
+            sources=sources, shards=2, capture_outputs=True
+        )
         for __ in drive_sharded(
             reference, workload.stream_events(), workload.schedule()
         ):
@@ -131,8 +138,8 @@ class TestFamilyCrashRecovery:
         restores from its last checkpoint and replays the log suffix; the
         post-recovery serve is byte-identical for every stateful family."""
         queries = FAMILIES[family]
-        reference = ShardedRuntime(
-            {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
+        reference = open_runtime(
+            sources={"S": SCHEMA, "T": SCHEMA}, shards=2, capture_outputs=True
         )
         for index, text in enumerate(queries):
             reference.register(text, query_id=f"q{index}", shard=0)

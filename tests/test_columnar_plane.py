@@ -1,23 +1,23 @@
 """Columnar data plane: end-to-end equivalence across every transport.
 
 The zero-copy plane's acceptance contract: a serve over packed columns —
-shared-memory ring records, ``crun`` queue frames, columnar-native
-sources, vectorized ``process_columns`` — is **byte-identical** to the
-same serve over the legacy pickle wire and to the in-process reference,
-including under seeded worker crashes with durable recovery and
-checkpoint/restore.  The wire-codec properties live in
-``test_wire_edge.py``; this module proves the *integration*: routing,
-shipping, decoding, fault accounting and schema retirement all composed.
+shared-memory ring records (forked workers), ``crun`` frames (inline
+workers), columnar-native sources, vectorized ``process_columns`` — is
+**byte-identical** to the inline-worker reference, including under seeded
+worker crashes with durable recovery and checkpoint/restore.  Packable
+input never falls back to the pickle wire, and the coordinator counts
+every shipped run by transport (``rumor_runs_shipped_total``).  The
+wire-codec properties live in ``test_wire_edge.py``; this module proves
+the *integration*: routing, shipping, decoding, fault accounting and
+schema retirement all composed.
 """
 
 import pytest
 
-from repro import RuntimeConfig, open_runtime
-from repro.errors import LifecycleError
+from repro import open_runtime
 from repro.shard import (
     ProcessShardedRuntime,
     ShardedEngine,
-    ShardedRuntime,
     WorkerFaults,
     fork_available,
 )
@@ -57,8 +57,8 @@ def feed(runtime, first, last):
 
 
 def reference_serve(first, last):
-    reference = ShardedRuntime(
-        {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
+    reference = open_runtime(
+        sources={"S": SCHEMA, "T": SCHEMA}, shards=2, capture_outputs=True
     )
     for index, text in enumerate(QUERIES):
         reference.register(text, query_id=f"q{index}", shard=index % 2)
@@ -66,13 +66,16 @@ def reference_serve(first, last):
     return reference
 
 
-def assert_identical(proc: ProcessShardedRuntime, reference: ShardedRuntime):
+def assert_identical(
+    proc: ProcessShardedRuntime, reference: ProcessShardedRuntime
+):
     stats = proc.collect_stats()
+    expected = reference.collect_stats()
     assert stats.output_events > 0
     assert proc.captured == reference.captured
-    assert stats.outputs_by_query == reference.stats.outputs_by_query
-    assert stats.input_events == reference.stats.input_events
-    assert stats.output_events == reference.stats.output_events
+    assert stats.outputs_by_query == expected.outputs_by_query
+    assert stats.input_events == expected.input_events
+    assert stats.output_events == expected.output_events
     assert sorted(proc.active_queries) == sorted(reference.active_queries)
     assert proc.state_size == reference.state_size
 
@@ -89,25 +92,46 @@ def columnar_sources(plan, handles, per_source):
     return sources
 
 
+def shipped_runs(runtime) -> dict:
+    """``{(shard, transport): runs}`` from ``rumor_runs_shipped_total``."""
+    return {
+        (sample["labels"]["shard"], sample["labels"]["transport"]): sample[
+            "value"
+        ]
+        for sample in runtime.metrics_registry().snapshot()["samples"]
+        if sample["name"] == "rumor_runs_shipped_total"
+    }
+
+
+def transports(runtime) -> dict:
+    """Runs shipped per transport, summed over shards."""
+    totals: dict = {}
+    for (__, transport), runs in shipped_runs(runtime).items():
+        totals[transport] = totals.get(transport, 0) + runs
+    return totals
+
+
 @needs_fork
 class TestProcessRuntimePlaneEquivalence:
-    @pytest.mark.parametrize("data_plane", ["columnar", "pickle"])
-    def test_both_planes_match_the_inprocess_reference(self, data_plane):
+    def test_both_planes_match_the_inprocess_reference(self):
+        """Forked workers read packed runs from their rings, inline workers
+        get the same columns as ``crun`` frames; both serve identically,
+        and packable input never ships on the pickle wire."""
         reference = reference_serve(0, 140)
         proc = ProcessShardedRuntime(
-            {"S": SCHEMA, "T": SCHEMA},
-            n_shards=2,
-            capture_outputs=True,
-            data_plane=data_plane,
+            {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
         )
         try:
-            assert proc.data_plane == data_plane
             for index, text in enumerate(QUERIES):
                 proc.register(text, query_id=f"q{index}", shard=index % 2)
             feed(proc, 0, 140)
             assert_identical(proc, reference)
+            forked = transports(proc)
+            assert forked.get("pickle", 0) == 0
+            assert forked["ring"] > 0
         finally:
             proc.close()
+        assert set(transports(reference)) == {"crun"}
 
 
 @needs_fork
@@ -123,7 +147,6 @@ class TestColumnarUnderFaults:
             {"S": SCHEMA, "T": SCHEMA},
             n_shards=2,
             capture_outputs=True,
-            data_plane="columnar",
             durable=True,
             checkpoint_every=checkpoint_every,
             worker_faults={0: WorkerFaults(crash_on=("data", 35))},
@@ -202,45 +225,52 @@ class TestColumnarNativeSources:
         assert sharded.captured == single[1]
 
 
-class TestDataPlaneValidation:
-    def test_config_rejects_unknown_plane(self):
-        config = RuntimeConfig(
-            sources={"S": SCHEMA}, process=True, data_plane="arrow"
-        )
-        with pytest.raises(LifecycleError, match="data_plane"):
-            config.validate()
+class TestEqualSchemasPack:
+    """A run whose tuples carry a schema *equal* to the stream's — but a
+    different object — packs like any other run instead of silently
+    shipping on the pickle wire."""
 
-    @needs_fork
-    def test_runtime_rejects_unknown_plane(self):
-        with pytest.raises(LifecycleError, match="data_plane"):
-            with pytest.warns(DeprecationWarning):
-                ProcessShardedRuntime({"S": SCHEMA}, data_plane="arrow")
+    def test_from_rows_packs_a_distinct_but_equal_schema(self):
+        stream_schema, row_schema = Schema.numbered(2), Schema.numbered(2)
+        assert stream_schema is not row_schema
+        rows = [StreamTuple(row_schema, (ts % 3, ts), ts) for ts in range(10)]
+        batch = ColumnBatch.from_rows(stream_schema, rows, 1)
+        assert batch is not None
+        assert batch.count == 10
+        assert batch.schema is stream_schema
+        assert [ct.tuple.values for ct in batch.channel_tuples()] == [
+            row.values for row in rows
+        ]
 
-    @needs_fork
-    def test_factory_forwards_and_journal_pins_the_plane(self, tmp_path):
-        """``open_runtime`` forwards the knob, the coordinator journals
-        it, and a resumed coordinator inherits the journaled plane."""
-        journal = str(tmp_path / "journal")
+    def test_from_rows_refuses_a_different_schema(self):
+        schema = Schema.numbered(3)
+        rows = [StreamTuple(schema, (1, 2, ts), ts) for ts in range(4)]
+        assert ColumnBatch.from_rows(Schema.numbered(2), rows, 1) is None
+
+    @pytest.mark.parametrize(
+        "process",
+        [False, pytest.param(True, marks=needs_fork)],
+        ids=["inline", "forked"],
+    )
+    def test_fleet_ships_equal_schema_runs_packed(self, process):
+        rows = [
+            StreamTuple(Schema.numbered(2), (ts % 3, ts), ts)
+            for ts in range(50)
+        ]
         runtime = open_runtime(
-            RuntimeConfig(
-                sources={"S": SCHEMA, "T": SCHEMA},
-                process=True,
-                capture_outputs=True,
-                data_plane="pickle",
-                journal=journal,
-            )
+            sources={"S": Schema.numbered(2)},
+            shards=2,
+            process=process,
+            capture_outputs=True,
         )
-        try:
-            assert runtime.data_plane == "pickle"
-            runtime.register(QUERIES[0], query_id="q0")
-            feed(runtime, 0, 20)
-            runtime.collect_stats()
-        finally:
-            runtime.close()
-        resumed = open_runtime(
-            RuntimeConfig(process=True, journal=journal, resume=True)
-        )
-        try:
-            assert resumed.data_plane == "pickle"
-        finally:
-            resumed.close()
+        with runtime:
+            runtime.register("FROM S WHERE a0 == 1", query_id="q0", shard=0)
+            runtime.register("FROM S WHERE a0 == 2", query_id="q1", shard=1)
+            runtime.process_batch("S", rows)
+            assert runtime.collect_stats().output_events == 33
+            packed = "ring" if process else "crun"
+            # One run, counted once per target shard, never pickled.
+            assert shipped_runs(runtime) == {
+                ("0", packed): 1,
+                ("1", packed): 1,
+            }

@@ -30,11 +30,11 @@ from hypothesis import strategies as st
 
 from repro.errors import CoordinatorCrashError, JournalError
 from repro.lang.compiler import as_logical
+from repro.runtime import open_runtime
 from repro.shard import (
     CoordinatorFaults,
     CoordinatorLog,
     ProcessShardedRuntime,
-    ShardedRuntime,
     fork_available,
 )
 from repro.streams.schema import Schema
@@ -82,19 +82,22 @@ def settle(proc: ProcessShardedRuntime):
     return proc.collect_stats()
 
 
-def assert_identical(proc: ProcessShardedRuntime, reference: ShardedRuntime):
+def assert_identical(
+    proc: ProcessShardedRuntime, reference: ProcessShardedRuntime
+):
     stats = settle(proc)
     assert proc.captured == reference.captured
-    assert stats.outputs_by_query == reference.stats.outputs_by_query
-    assert stats.input_events == reference.stats.input_events
-    assert stats.output_events == reference.stats.output_events
+    expected = reference.collect_stats()
+    assert stats.outputs_by_query == expected.outputs_by_query
+    assert stats.input_events == expected.input_events
+    assert stats.output_events == expected.output_events
     assert sorted(proc.active_queries) == sorted(reference.active_queries)
     assert proc.state_size == reference.state_size
 
 
 def serve_reference(streams, churn, schema=SCHEMA):
-    reference = ShardedRuntime(
-        {"S": schema, "T": schema}, n_shards=2, capture_outputs=True
+    reference = open_runtime(
+        sources={"S": schema, "T": schema}, shards=2, capture_outputs=True
     )
     for __ in drive_sharded(reference, streams, churn):
         pass

@@ -21,7 +21,8 @@ before stopping it.  The invariants under test:
 import pytest
 
 from repro.errors import LifecycleError
-from repro.shard import ProcessShardedRuntime, ShardedRuntime, fork_available
+from repro.runtime import open_runtime
+from repro.shard import ProcessShardedRuntime, fork_available
 from repro.shard.policy import QueryCountPolicy, RebalancePolicy
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
@@ -60,8 +61,8 @@ def make_proc(**options):
 
 
 def make_reference():
-    reference = ShardedRuntime(
-        {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
+    reference = open_runtime(
+        sources={"S": SCHEMA, "T": SCHEMA}, shards=2, capture_outputs=True
     )
     for shard, (query_id, text) in enumerate(QUERIES):
         reference.register(text, query_id=query_id, shard=shard)
@@ -71,9 +72,10 @@ def make_reference():
 def assert_identical(proc, reference):
     stats = proc.collect_stats()
     assert proc.captured == reference.captured
-    assert stats.outputs_by_query == reference.stats.outputs_by_query
-    assert stats.input_events == reference.stats.input_events
-    assert stats.output_events == reference.stats.output_events
+    expected = reference.collect_stats()
+    assert stats.outputs_by_query == expected.outputs_by_query
+    assert stats.input_events == expected.input_events
+    assert stats.output_events == expected.output_events
     assert sorted(proc.active_queries) == sorted(reference.active_queries)
     assert proc.state_size == reference.state_size
 
@@ -113,7 +115,7 @@ class TestElasticEquivalence:
             proc.remove_worker(0)
             proc.remove_worker(1)
             after = proc.collect_stats().outputs_by_query
-            assert after == before == reference.stats.outputs_by_query
+            assert after == before == reference.collect_stats().outputs_by_query
         finally:
             proc.close()
 

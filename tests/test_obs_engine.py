@@ -17,8 +17,7 @@ including records retired by plan rewrites.
 import pytest
 
 from repro.obs import to_prometheus
-from repro.runtime import QueryRuntime
-from repro.shard import ShardedRuntime
+from repro.runtime import QueryRuntime, open_runtime
 from repro.workloads.churn import ChurnWorkload, drive, drive_batched
 
 
@@ -142,9 +141,9 @@ class TestRuntimeTelemetryViews:
 class TestShardedTelemetry:
     def _serve_sharded(self, observe):
         workload = churn_workload(seed=5)
-        runtime = ShardedRuntime(
-            {"S": workload.schema, "T": workload.schema},
-            n_shards=2,
+        runtime = open_runtime(
+            sources={"S": workload.schema, "T": workload.schema},
+            shards=2,
             capture_outputs=True,
             observe=observe,
         )

@@ -5,7 +5,8 @@ import logging
 import pytest
 
 from repro.engine.metrics import RunStats
-from repro.shard import QueryCountPolicy, ShardedRuntime, ThroughputPolicy
+from repro.runtime import open_runtime
+from repro.shard import QueryCountPolicy, ThroughputPolicy
 from repro.shard.policy import RebalancePolicy
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
@@ -42,6 +43,9 @@ class FakeRuntime:
 
     def queries_on(self, shard):
         return [q for q, s in self._placement.items() if s == shard]
+
+    def shard_ids(self):
+        return list(range(self.n_shards))
 
     def shard_stats(self):
         stats = []
@@ -271,16 +275,6 @@ class TestThroughputPolicy:
         )
         assert list(policy.propose(second))[0][0] == "c"
 
-    def test_busy_heat_falls_back_without_telemetry(self):
-        runtime = FakeRuntime(
-            {"cold": 0, "hot": 0, "other": 1},
-            busy=[3.0, 0.5],
-            outputs_by_query={"cold": 1, "hot": 400, "other": 10},
-        )
-        runtime.shard_telemetry = None  # runtime without the accessor
-        proposals = list(ThroughputPolicy(heat="busy").propose(runtime))
-        assert proposals[0][0] == "hot"
-
     def test_busy_heat_empty_falls_back_to_outputs(self):
         # Telemetry present but the runtime is not observing: query_heat is
         # empty everywhere, so ranking falls back to output deltas.
@@ -319,9 +313,9 @@ class TestDriverIntegration:
                 single, workload.stream_events(), workload.schedule()
             )
         )
-        sharded = ShardedRuntime(
-            {"S": workload.schema, "T": workload.schema},
-            n_shards=2,
+        sharded = open_runtime(
+            sources={"S": workload.schema, "T": workload.schema},
+            shards=2,
             capture_outputs=True,
         )
         policy = policy_factory()
@@ -336,14 +330,14 @@ class TestDriverIntegration:
             )
         )
         assert applied_single == applied_sharded
-        assert sharded.stats.outputs_by_query == single.stats.outputs_by_query
+        assert sharded.collect_stats().outputs_by_query == single.stats.outputs_by_query
         assert sharded.captured == single.captured
 
     def test_throughput_policy_rebalances_under_skewed_load(self):
         # Anchor two hot queries on shard 0 and keep shard 1 idle: the
         # busy-delta signal must trigger at least one component move.
-        runtime = ShardedRuntime(
-            {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
+        runtime = open_runtime(
+            sources={"S": SCHEMA, "T": SCHEMA}, shards=2, capture_outputs=True
         )
         runtime.register("FROM S AGG avg(a1) OVER 30 BY a0 AS m", query_id="hot", shard=0)
         runtime.register("FROM S WHERE a0 == 1", query_id="warm", shard=0)

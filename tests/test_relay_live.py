@@ -26,11 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CoordinatorCrashError, LifecycleError
-from repro.runtime import QueryRuntime
+from repro.runtime import QueryRuntime, open_runtime
 from repro.shard import (
     CoordinatorFaults,
     ProcessShardedRuntime,
-    ShardedRuntime,
     WorkerFaults,
     fork_available,
 )
@@ -69,6 +68,10 @@ def composed_reference(first=0, last=300):
     return outputs(reference, "cons")
 
 
+def inline_runtime():
+    return open_runtime(sources={"S": SCHEMA}, shards=2, capture_outputs=True)
+
+
 def bridge_split(runtime):
     """Producer on shard 0, consumer on shard 1, bridged by alias B."""
     runtime.register(PRODUCER, query_id="prod", shard=0)
@@ -78,23 +81,23 @@ def bridge_split(runtime):
 
 class TestInProcessLiveRelay:
     def test_split_placement_matches_inline_composition(self):
-        runtime = ShardedRuntime({"S": SCHEMA}, n_shards=2, capture_outputs=True)
+        runtime = inline_runtime()
         bridge_split(runtime)
         feed(runtime, 0, 300)
         assert outputs(runtime, "cons") == composed_reference()
         assert runtime.exported_streams() == {"B": "prod"}
 
     def test_relayed_tuples_are_not_input_events(self):
-        runtime = ShardedRuntime({"S": SCHEMA}, n_shards=2, capture_outputs=True)
+        runtime = inline_runtime()
         bridge_split(runtime)
         feed(runtime, 0, 300)
-        assert runtime.stats.input_events == 300
-        assert runtime.stats.physical_input_events == 300
+        assert runtime.collect_stats().input_events == 300
+        assert runtime.collect_stats().physical_input_events == 300
         assert runtime.relayed_events == len(outputs(runtime, "prod"))
         assert runtime.relayed_events > 0
 
     def test_rebalance_moves_tap_mid_stream(self):
-        runtime = ShardedRuntime({"S": SCHEMA}, n_shards=2, capture_outputs=True)
+        runtime = inline_runtime()
         bridge_split(runtime)
         feed(runtime, 0, 110)
         runtime.rebalance("prod", 1)
@@ -105,7 +108,7 @@ class TestInProcessLiveRelay:
 
     def test_chained_bridges_drain_to_quiescence(self):
         """A bridge feeding a bridge: shard 0 → 1 → 0 in one drain."""
-        runtime = ShardedRuntime({"S": SCHEMA}, n_shards=2, capture_outputs=True)
+        runtime = inline_runtime()
         runtime.register(PRODUCER, query_id="prod", shard=0)
         runtime.export_stream("prod", "B")
         runtime.register("FROM B WHERE a1 > 10", query_id="mid", shard=1)
@@ -124,11 +127,11 @@ class TestInProcessLiveRelay:
         assert outputs(runtime, "cons") == outputs(reference, "cons")
 
     def test_export_validation_and_guards(self):
-        runtime = ShardedRuntime({"S": SCHEMA}, n_shards=2, capture_outputs=True)
+        runtime = inline_runtime()
         bridge_split(runtime)
-        with pytest.raises(LifecycleError, match="already declared"):
+        with pytest.raises(LifecycleError, match="already in use"):
             runtime.export_stream("prod", "B")
-        with pytest.raises(LifecycleError, match="already declared"):
+        with pytest.raises(LifecycleError, match="already in use"):
             runtime.export_stream("prod", "S")
         with pytest.raises(LifecycleError):
             runtime.export_stream("ghost", "D")
@@ -140,7 +143,7 @@ class TestInProcessLiveRelay:
     def test_sharing_merge_rehomes_the_tap(self):
         """A duplicate registration re-homes the producer's sink under
         ``eliminate_duplicate``; the tap follows, cursor intact."""
-        runtime = ShardedRuntime({"S": SCHEMA}, n_shards=2, capture_outputs=True)
+        runtime = inline_runtime()
         bridge_split(runtime)
         feed(runtime, 0, 150)
         runtime.register(PRODUCER, query_id="twin", shard=0)
@@ -154,7 +157,7 @@ pytestmark_proc = pytest.mark.skipif(
 
 
 def split_reference(first=0, last=300):
-    reference = ShardedRuntime({"S": SCHEMA}, n_shards=2, capture_outputs=True)
+    reference = inline_runtime()
     bridge_split(reference)
     feed(reference, first, last)
     return reference
@@ -163,22 +166,18 @@ def split_reference(first=0, last=300):
 def assert_identical(proc, reference):
     stats = proc.collect_stats()
     assert proc.captured == reference.captured
-    assert stats.outputs_by_query == reference.stats.outputs_by_query
-    assert stats.input_events == reference.stats.input_events
-    assert stats.output_events == reference.stats.output_events
+    expected = reference.collect_stats()
+    assert stats.outputs_by_query == expected.outputs_by_query
+    assert stats.input_events == expected.input_events
+    assert stats.output_events == expected.output_events
 
 
 @pytestmark_proc
 class TestProcessLiveRelay:
-    @pytest.mark.parametrize("data_plane", ["columnar", "pickle"])
-    def test_split_placement_is_byte_identical(self, data_plane):
+    def test_split_placement_is_byte_identical(self):
         reference = split_reference()
         proc = ProcessShardedRuntime(
-            {"S": SCHEMA},
-            n_shards=2,
-            capture_outputs=True,
-            data_plane=data_plane,
-            **FAST,
+            {"S": SCHEMA}, n_shards=2, capture_outputs=True, **FAST
         )
         try:
             bridge_split(proc)
@@ -329,7 +328,7 @@ class TestBridgeProperties:
             StreamTuple(SCHEMA, (a0, a1), ts)
             for ts, (__, a0, a1) in enumerate(entries)
         ]
-        runtime = ShardedRuntime({"S": SCHEMA}, n_shards=2, capture_outputs=True)
+        runtime = inline_runtime()
         bridge_split(runtime)
         reference = QueryRuntime({"S": SCHEMA}, capture_outputs=True)
         reference.register(COMPOSED, query_id="cons")
@@ -338,7 +337,7 @@ class TestBridgeProperties:
             runtime.process_batch("S", chunk)
             reference.process_batch("S", chunk)
         assert outputs(runtime, "cons") == outputs(reference, "cons")
-        assert runtime.stats.input_events == len(rows)
+        assert runtime.collect_stats().input_events == len(rows)
 
     @given(
         entries=event_entries(n_streams=1, min_size=10, max_size=60),
@@ -351,7 +350,7 @@ class TestBridgeProperties:
             StreamTuple(SCHEMA, (a0, a1), ts)
             for ts, (__, a0, a1) in enumerate(entries)
         ]
-        runtime = ShardedRuntime({"S": SCHEMA}, n_shards=2, capture_outputs=True)
+        runtime = inline_runtime()
         bridge_split(runtime)
         reference = QueryRuntime({"S": SCHEMA}, capture_outputs=True)
         reference.register(COMPOSED, query_id="cons")

@@ -1,12 +1,13 @@
 """RuntimeConfig + open_runtime: selection, validation, deprecation.
 
-The unified factory replaced three divergent constructor surfaces; these
-tests pin the selection rules (shards/process → which runtime), the
-actionable one-line validation errors, and the deprecation contract:
-direct constructor calls warn, factory-built and internally-built
-runtimes do not.
+The unified factory replaced divergent constructor surfaces; these tests
+pin the selection rules (shards/process → which runtime and which worker
+transport), the actionable one-line validation errors, and the
+deprecation contract: direct constructor calls warn, factory-built and
+internally-built runtimes do not.
 """
 
+import multiprocessing
 import warnings
 
 import pytest
@@ -15,8 +16,8 @@ from repro import RuntimeConfig, open_runtime
 from repro.errors import LifecycleError
 from repro.runtime.config import internal_construction
 from repro.runtime.runtime import QueryRuntime
-from repro.shard import fork_available
-from repro.shard.runtime import ShardedRuntime
+from repro.shard import FrameFaults, WorkerFaults, fork_available
+from repro.shard.proc import ProcessShardedRuntime
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 
@@ -31,7 +32,8 @@ class TestSelection:
 
     def test_shards_select_in_process_sharded(self):
         runtime = open_runtime(RuntimeConfig(sources=SOURCES, shards=3))
-        assert type(runtime) is ShardedRuntime
+        assert type(runtime) is ProcessShardedRuntime
+        assert runtime.inline
         assert runtime.n_shards == 3
 
     def test_shards_one_is_single_engine(self):
@@ -41,7 +43,8 @@ class TestSelection:
     def test_overrides_apply_on_top_of_config(self):
         config = RuntimeConfig(sources=SOURCES)
         runtime = open_runtime(config, shards=2, capture_outputs=True)
-        assert type(runtime) is ShardedRuntime
+        assert type(runtime) is ProcessShardedRuntime
+        assert runtime.inline
         # The original config is not mutated.
         assert config.shards is None
         assert config.capture_outputs is False
@@ -103,7 +106,7 @@ class TestDeprecation:
 
     def test_direct_sharded_runtime_warns(self):
         with pytest.warns(DeprecationWarning, match="open_runtime"):
-            ShardedRuntime(SOURCES, n_shards=2)
+            ProcessShardedRuntime(SOURCES, n_shards=2, inline=True)
 
     def test_factory_does_not_warn(self):
         with warnings.catch_warnings(record=True) as seen:
@@ -134,8 +137,6 @@ class TestDeprecation:
 )
 class TestProcessSelection:
     def test_process_true_opens_worker_fleet(self):
-        from repro.shard.proc import ProcessShardedRuntime
-
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             runtime = open_runtime(
@@ -143,6 +144,7 @@ class TestProcessSelection:
             )
         try:
             assert type(runtime) is ProcessShardedRuntime
+            assert not runtime.inline
             assert runtime.n_shards == 2
             assert not [
                 w for w in seen if issubclass(w.category, DeprecationWarning)
@@ -157,7 +159,7 @@ class TestProcessSelection:
             runtime.close()
 
     def test_equivalent_outputs_across_selected_runtimes(self):
-        """Same inputs through all three selections → same outputs."""
+        """Same inputs through every selection → same outputs."""
         captured = {}
         for label, kwargs in (
             ("single", {}),
@@ -187,3 +189,68 @@ class TestProcessSelection:
                     runtime.close()
         assert captured["single"] == captured["sharded"]
         assert captured["single"] == captured["process"]
+
+
+class TestInlineTransport:
+    """``open_runtime(shards=N)`` without ``process``: the coordinator with
+    inline workers — no child process, no fork requirement."""
+
+    def _serve(self, runtime):
+        with runtime:
+            runtime.register("FROM S WHERE a0 == 1", query_id="q0", shard=0)
+            runtime.register("FROM S WHERE a0 == 2", query_id="q1", shard=1)
+            for ts in range(30):
+                runtime.process("S", StreamTuple(SCHEMA, (ts % 3, ts), ts))
+            return {
+                qid: [t.ts for t in tuples]
+                for qid, tuples in runtime.captured.items()
+            }
+
+    def test_serves_without_fork(self, monkeypatch):
+        import repro.shard.proc as proc_module
+
+        monkeypatch.setattr(proc_module, "fork_available", lambda: False)
+        captured = self._serve(
+            open_runtime(sources=SOURCES, shards=2, capture_outputs=True)
+        )
+        assert captured == {
+            "q0": list(range(1, 30, 3)),
+            "q1": list(range(2, 30, 3)),
+        }
+        with pytest.raises(LifecycleError, match="fork start method"):
+            open_runtime(sources=SOURCES, shards=2, process=True)
+
+    def test_starts_no_child_process(self):
+        before = multiprocessing.active_children()
+        with open_runtime(sources=SOURCES, shards=3) as runtime:
+            runtime.register("FROM S WHERE a0 == 1", query_id="q0")
+            runtime.process("S", StreamTuple(SCHEMA, (1, 2), 1))
+            assert runtime.collect_stats().output_events == 1
+            assert multiprocessing.active_children() == before
+
+    def test_rejects_worker_faults(self):
+        with pytest.raises(LifecycleError, match="worker_faults"):
+            open_runtime(
+                sources=SOURCES,
+                shards=2,
+                extra={"worker_faults": {0: WorkerFaults(crash_on=("data", 1))}},
+            )
+
+    def test_frame_faults_still_apply(self):
+        """Dropped and duplicated command frames are retransmitted and
+        deduplicated exactly as over the forked transport."""
+        faults = FrameFaults(seed=3, drop_rate=0.3, dup_rate=0.2)
+        captured = self._serve(
+            open_runtime(
+                sources=SOURCES,
+                shards=2,
+                capture_outputs=True,
+                command_timeout=0.05,
+                extra={"faults": faults},
+            )
+        )
+        assert faults.dropped > 0 and faults.duplicated > 0
+        assert captured == {
+            "q0": list(range(1, 30, 3)),
+            "q1": list(range(2, 30, 3)),
+        }

@@ -17,10 +17,10 @@ faults:
 import pytest
 
 from repro.errors import LifecycleError
+from repro.runtime import open_runtime
 from repro.shard import (
     FrameFaults,
     ProcessShardedRuntime,
-    ShardedRuntime,
     WorkerFaults,
     fork_available,
 )
@@ -76,8 +76,8 @@ class TestCrashDuringRebalance:
 
             # The donor shard never crashed: its queries must be
             # byte-identical to a serve where the rebalance never happened.
-            control = ShardedRuntime(
-                {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
+            control = open_runtime(
+                sources={"S": SCHEMA, "T": SCHEMA}, shards=2, capture_outputs=True
             )
             control.register(AGG, query_id="agg", shard=0)
             control.register(SEQ, query_id="seq", shard=0)
@@ -170,7 +170,9 @@ class TestCommandFrameChaos:
             seed=3,
         )
         sources = {"S": workload.schema, "T": workload.schema}
-        reference = ShardedRuntime(sources, n_shards=2, capture_outputs=True)
+        reference = open_runtime(
+            sources=sources, shards=2, capture_outputs=True
+        )
         faults = FrameFaults(seed=11, drop_rate=0.2, dup_rate=0.2)
         chaotic = ProcessShardedRuntime(
             sources, n_shards=2, capture_outputs=True, faults=faults, **FAST
@@ -199,8 +201,9 @@ class TestCommandFrameChaos:
             assert applied_reference == applied_chaotic
             assert chaotic.crash_recoveries == 0
             stats = chaotic.collect_stats()
-            assert stats.outputs_by_query == reference.stats.outputs_by_query
-            assert stats.input_events == reference.stats.input_events
+            expected = reference.collect_stats()
+            assert stats.outputs_by_query == expected.outputs_by_query
+            assert stats.input_events == expected.input_events
             assert chaotic.captured == reference.captured
         finally:
             chaotic.close()

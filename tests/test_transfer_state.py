@@ -2,10 +2,11 @@
 
 A cross-process rebalance cannot carry live executors (compiled predicate
 closures do not pickle); it carries ``snapshot_state()`` payloads and
-re-seeds freshly built executors on the far side.  These tests force every
-in-process rebalance through the wire codec (pickle round-trip, live
-executors stripped) and assert the serve stays **byte-identical** to an
-uninterrupted control — for every stateful operator family: sequence
+re-seeds freshly built executors on the far side.  These tests move
+components between two plain shard runtimes that adopt one set of source
+objects, forcing every move through the wire codec (pickle round-trip,
+live executors stripped), and assert the serve stays **byte-identical**
+to an uninterrupted control — for every stateful operator family: sequence
 instance stores, iterate (µ) partial matches, sliding-window aggregates,
 window joins, and the merged m-ops the optimizer builds from them.
 """
@@ -14,9 +15,13 @@ import pickle
 
 import pytest
 
-from repro.shard import ShardedRuntime
+from repro.engine.metrics import RunStats
+from repro.runtime.config import internal_construction
+from repro.runtime.runtime import QueryRuntime
 from repro.shard.wire import decode_transfer, encode_transfer
+from repro.streams.channel import Channel
 from repro.streams.schema import Schema
+from repro.streams.stream import StreamDef
 from repro.streams.tuples import StreamTuple
 
 SCHEMA = Schema.of_ints("a0", "a1")
@@ -44,6 +49,49 @@ QUERIES = {
 }
 
 
+class ShardPair:
+    """Two shard runtimes adopting the same source stream/channel objects
+    (the sharding contract), fed every source event."""
+
+    def __init__(self):
+        with internal_construction():
+            self.runtimes = [
+                QueryRuntime(capture_outputs=True) for __ in range(2)
+            ]
+        self.streams = {}
+        for name in ("S", "T"):
+            stream = StreamDef(name, SCHEMA)
+            channel = Channel.singleton(stream)
+            for runtime in self.runtimes:
+                runtime.adopt_source(stream, channel)
+            self.streams[name] = stream
+
+    def register(self, text, query_id, shard):
+        self.runtimes[shard].register(text, query_id)
+
+    def process(self, stream_name, tuple_):
+        for runtime in self.runtimes:
+            runtime.process(stream_name, tuple_)
+
+    @property
+    def stats(self) -> RunStats:
+        merged = RunStats()
+        for runtime in self.runtimes:
+            merged.absorb(runtime.stats)
+        return merged
+
+    @property
+    def captured(self) -> dict:
+        merged: dict = {}
+        for runtime in self.runtimes:
+            merged.update(runtime.captured)
+        return merged
+
+    @property
+    def state_size(self) -> int:
+        return sum(runtime.state_size for runtime in self.runtimes)
+
+
 def feed(runtime, first, last):
     for ts in range(first, last):
         runtime.process(
@@ -51,22 +99,19 @@ def feed(runtime, first, last):
         )
 
 
-def serialized_rebalance(sharded: ShardedRuntime, query_id: str, to_shard: int):
-    """An in-process rebalance forced through the wire codec.
+def serialized_rebalance(pair: ShardPair, query_id: str, from_shard: int):
+    """Move ``query_id``'s component to the other shard through the wire
+    codec.
 
-    Exactly what the process-mode runtime does between two workers: the
-    donor's transfer is pickled with executor state reduced to snapshots,
-    the receiver rebuilds executors from the plan subgraph and re-seeds
-    them.  Returns the decoded transfer for inspection.
+    Exactly what a rebalance does between two workers: the donor's
+    transfer is pickled with executor state reduced to snapshots, the
+    receiver rebuilds executors from the plan subgraph and re-seeds them.
+    Returns the decoded transfer for inspection.
     """
-    from_shard = sharded.shard_of(query_id)
-    transfer = sharded.runtimes[from_shard].export_component(query_id)
+    transfer = pair.runtimes[from_shard].export_component(query_id)
     decoded = decode_transfer(encode_transfer(transfer))
     assert decoded.entries == {}, "wire transfers must not carry executors"
-    sharded.runtimes[to_shard].import_component(decoded)
-    for moved_id in decoded.queries:
-        sharded._query_shard[moved_id] = to_shard
-    sharded._route_cache.clear()
+    pair.runtimes[1 - from_shard].import_component(decoded)
     return decoded
 
 
@@ -76,14 +121,12 @@ class TestSerializedRebalanceEquivalence:
         queries = QUERIES[family]
 
         def build():
-            runtime = ShardedRuntime(
-                {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
-            )
+            pair = ShardPair()
             for index, text in enumerate(queries):
-                runtime.register(text, query_id=f"q{index}", shard=0)
+                pair.register(text, query_id=f"q{index}", shard=0)
             if len(queries) > 1:
-                runtime.reoptimize(shard=0)  # force the merged m-op shape
-            return runtime
+                pair.runtimes[0].reoptimize()  # force the merged m-op shape
+            return pair
 
         control = build()
         feed(control, 0, 120)
@@ -91,7 +134,7 @@ class TestSerializedRebalanceEquivalence:
         moved = build()
         feed(moved, 0, 60)
         state_before = moved.state_size
-        transfer = serialized_rebalance(moved, "q0", 1)
+        transfer = serialized_rebalance(moved, "q0", 0)
         # Joins and consuming sequences may legitimately have drained by
         # ts 60; every other family must be carrying live state.
         if family not in ("join", "consuming-sequence"):
@@ -109,20 +152,18 @@ class TestSerializedRebalanceEquivalence:
         """Shard 0 → 1 → 0: repeated serialization accumulates nothing."""
 
         def build():
-            runtime = ShardedRuntime(
-                {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
-            )
-            runtime.register(QUERIES["aggregate"][0], query_id="agg", shard=0)
-            return runtime
+            pair = ShardPair()
+            pair.register(QUERIES["aggregate"][0], query_id="agg", shard=0)
+            return pair
 
         control = build()
         feed(control, 0, 90)
 
         bounced = build()
         feed(bounced, 0, 30)
-        serialized_rebalance(bounced, "agg", 1)
-        feed(bounced, 30, 60)
         serialized_rebalance(bounced, "agg", 0)
+        feed(bounced, 30, 60)
+        serialized_rebalance(bounced, "agg", 1)
         feed(bounced, 60, 90)
 
         assert bounced.captured == control.captured
@@ -135,12 +176,10 @@ class TestSerializedRebalanceEquivalence:
                     assert stream is bounced.streams[stream.name]
 
     def test_transfer_blob_is_pickle_stable(self):
-        runtime = ShardedRuntime(
-            {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
-        )
-        runtime.register(QUERIES["sequence"][0], query_id="q0", shard=0)
-        feed(runtime, 0, 40)
-        transfer = runtime.runtimes[0].export_component("q0")
+        pair = ShardPair()
+        pair.register(QUERIES["sequence"][0], query_id="q0", shard=0)
+        feed(pair, 0, 40)
+        transfer = pair.runtimes[0].export_component("q0")
         blob = encode_transfer(transfer)
         assert isinstance(blob, bytes)
         payload = pickle.loads(blob)
@@ -152,8 +191,8 @@ class TestSerializedRebalanceEquivalence:
             "state_carried",
         }
         # Restore so the runtime stays consistent for teardown asserts.
-        runtime.runtimes[0].import_component(decode_transfer(blob))
-        assert runtime.runtimes[0].state_size == transfer.state_carried
+        pair.runtimes[0].import_component(decode_transfer(blob))
+        assert pair.runtimes[0].state_size == transfer.state_carried
 
 
 class TestSnapshotRestoreContracts:

@@ -296,13 +296,19 @@ class TestColumnarTransportProperty:
 
     def test_mixed_schema_runs_stay_on_the_pickle_wire(self):
         schema_a = Schema.of_ints("a0")
-        schema_b = Schema.of_ints("a0")  # equal but distinct object
+        schema_b = Schema.of_ints("b0")  # a different schema
         rows = [
             ChannelTuple(StreamTuple(schema_a, (1,), 0), 1),
             ChannelTuple(StreamTuple(schema_b, (2,), 1), 1),
         ]
         assert ColumnBatch.from_channel_tuples(rows) is None
         assert ColumnBatch.from_rows(schema_a, [ct.tuple for ct in rows], 1) is None
+        # An equal but distinct schema object is the same schema: it packs.
+        equal = [
+            ChannelTuple(StreamTuple(schema_a, (1,), 0), 1),
+            ChannelTuple(StreamTuple(Schema.of_ints("a0"), (2,), 1), 1),
+        ]
+        assert ColumnBatch.from_channel_tuples(equal) is not None
 
     def test_oversized_mask_falls_back(self):
         schema = Schema.of_ints("a0")
