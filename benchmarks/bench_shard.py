@@ -1,22 +1,22 @@
-"""Shard benchmark: component merging, bridge cuts and the serving fleet.
+"""Shard benchmark: component merging and the serving fleet.
 
 Thin entry point over :mod:`repro.bench.shard` (importable because the
 module also backs the ``repro.cli bench-shard`` subcommand).  On the
 partitionable zipf workload (k independent sources, one query set each)
 the single engine merging per component is measured against the same
 engine fed one global merge, and the process fleet serves the same
-queries at 1/2/4 shards.  The bridge workload times the inline sharded
-engine with and without bridge cuts.  Every cell re-checks per-query
-output equality with its single-engine baseline.
+queries at 1/2/4 shards; a live churn serve runs on one runtime and on
+inline shards.  Every cell re-checks per-query output equality with its
+single-engine baseline.
 
 Exit criteria (what a red run means):
 
 - non-zero exit + ``AssertionError: ... diverged ...`` — a correctness
   regression: every cell's outputs must equal the single engine's, no
   tolerance;
-- non-zero exit + ``AssertionError: component merging must ...`` or
-  ``bridge-split serve must ...`` — a performance regression below a
-  floor (the measured and required multiples are printed in the message).
+- non-zero exit + ``AssertionError: component merging must ...`` — a
+  performance regression below the floor (the measured and required
+  multiples are printed in the message).
 
 Run standalone (writes ``BENCH_shard.json``)::
 

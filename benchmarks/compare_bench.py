@@ -2,9 +2,9 @@
 
 Wall-clock throughput is machine-dependent, so the gate compares the
 machine-portable quantities: the *speedup ratios* inside one run (batched
-vs per-tuple, sharded vs single-engine).  A current run passes when every
-gated ratio stays at or above ``--min-ratio`` (default 0.8) times the
-committed baseline's ratio.
+vs per-tuple, per-component merge vs one global merge).  A current run
+passes when every gated ratio stays at or above ``--min-ratio`` (default
+0.8) times the committed baseline's ratio.
 
 Gated metrics (missing from either file → hard failure, so a silently
 renamed cell cannot green-wash the gate):
@@ -12,8 +12,7 @@ renamed cell cannot green-wash the gate):
 - ``BENCH_throughput*.json``: the headline
   ``optimized_zipf_batched_speedup`` plus every per-workload
   ``batched_speedup`` cell;
-- ``BENCH_shard*.json``: the headline ``component_merge_speedup`` plus
-  every ``speedup_vs_single_batched`` cell.
+- ``BENCH_shard*.json``: the headline ``component_merge_speedup``.
 
 Exit status is 0 on pass, 1 on any regression or malformed input; every
 verdict is printed, regressions with the measured and required values —
@@ -54,12 +53,6 @@ def iter_speedups(results: dict) -> Iterator[tuple[str, float]]:
         modes = data.get("modes", {})
         if "batched_speedup" in modes:
             yield f"{workload}.batched_speedup", float(modes["batched_speedup"])
-        for cell_name, cell in data.get("cells", {}).items():
-            if isinstance(cell, dict) and "speedup_vs_single_batched" in cell:
-                yield (
-                    f"{workload}.{cell_name}.speedup_vs_single_batched",
-                    float(cell["speedup_vs_single_batched"]),
-                )
 
 
 def compare(baseline: dict, current: dict, min_ratio: float) -> list[str]:

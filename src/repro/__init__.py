@@ -99,7 +99,7 @@ from repro.core import (
 )
 from repro.engine import MigrationStats, RunStats, StreamEngine, migrate_engine
 from repro.runtime import QueryRuntime, RuntimeConfig, open_runtime
-from repro.shard import ShardPlanner, ShardedEngine, ShardedRunStats
+from repro.shard import ProcessShardedRuntime
 
 __version__ = "1.1.0"
 
@@ -171,7 +171,5 @@ __all__ = [
     "RuntimeConfig",
     "open_runtime",
     # shard
-    "ShardPlanner",
-    "ShardedEngine",
-    "ShardedRunStats",
+    "ProcessShardedRuntime",
 ]

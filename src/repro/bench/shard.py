@@ -1,6 +1,6 @@
-"""Shard benchmark: component merging, bridge cuts and the serving fleet.
+"""Shard benchmark: component merging and the serving fleet.
 
-Three workloads, every cell checked output-identical to its single-engine
+Two workloads, every cell checked output-identical to its single-engine
 baseline:
 
 - **partitionable zipf** — ``k`` independent source streams, each with its
@@ -19,9 +19,6 @@ baseline:
   ``parallel_efficiency`` = speedup / min(N, cpus).  Nothing is tuned to
   make them look good: on this tiny-work-per-event workload the fleet is
   bound by its coordinator and reads well below the single engine.
-- **bridge** — two bridge-shaped components over four sources, served by
-  the inline :class:`~repro.shard.ShardedEngine` with and without bridge
-  cuts.  ``bridge_split_vs_unsplit`` is gated.
 - **sharded churn** — a live churn serve on one runtime vs two inline
   shards (``open_runtime(shards=N)``) with load-levelling rebalances.
   Inline shards pay the fleet's per-run pack/decode and pickled transfers
@@ -31,7 +28,7 @@ baseline:
 Cells alternate within each repeat and report their best repeat; every
 ratio is the median over repeats of the two cells' back-to-back ratio, so a
 slow stretch of a shared host skews neither side alone.  Results land in
-``BENCH_shard.json``; the run fails if either gated ratio falls below the
+``BENCH_shard.json``; the run fails if the gated ratio falls below the
 scale's floor.
 
 Regenerate::
@@ -57,13 +54,11 @@ from repro.core.optimizer import Optimizer
 from repro.core.plan import QueryPlan
 from repro.engine.executor import StreamEngine
 from repro.engine.metrics import RunStats
-from repro.operators.expressions import attr, lit, right
-from repro.operators.predicates import Comparison, DurationWithin, conjunction
+from repro.operators.expressions import attr, lit
+from repro.operators.predicates import Comparison
 from repro.operators.select import Selection
-from repro.operators.sequence import Sequence
 from repro.runtime.config import RuntimeConfig, open_runtime
 from repro.serve.replay import normalize_captured
-from repro.shard import ShardedEngine
 from repro.streams.sources import StreamSource, merge_source_runs
 from repro.streams.tuples import StreamTuple
 from repro.workloads.churn import ChurnWorkload, drive_batched, drive_sharded
@@ -75,13 +70,6 @@ from repro.workloads.zipf import ZipfSampler
 TARGET_SPEEDUP = 2.0
 #: Relaxed floor for the CI smoke run (small event counts are noisy).
 SMOKE_SPEEDUP = 1.3
-#: Bridge-cut acceptance floor: the 4-shard serve of the bridge workload
-#: with splitting enabled must beat the forced whole-component placement
-#: by this multiple at full scale.
-TARGET_BRIDGE_RATIO = 1.5
-#: Relaxed bridge floor for the CI smoke run — split may never fall below
-#: the unsplit placement, but the 1.5x margin is reserved for full scale.
-SMOKE_BRIDGE_RATIO = 1.0
 #: Fleet sizes of the ``fleet_N`` cells.
 FLEET_SHARDS = (1, 2, 4)
 #: Repeat count for the two single-engine zipf cells: a drain takes a few
@@ -115,13 +103,9 @@ class ShardScale:
     churn_events: int = 2_000
     churn_initial: int = 6
     churn_shards: int = 2
-    bridge_queries_per_source: int = 150
-    bridge_post_queries: int = 10
-    bridge_events: int = 40_000
     repeats: int = 3
     max_batch: int = 4096
     min_speedup: float = TARGET_SPEEDUP
-    min_bridge_ratio: float = TARGET_BRIDGE_RATIO
 
     @classmethod
     def full(cls) -> "ShardScale":
@@ -137,10 +121,8 @@ class ShardScale:
             zipf_events=8_000,
             churn_events=600,
             churn_initial=4,
-            bridge_events=8_000,
             repeats=7,
             min_speedup=SMOKE_SPEEDUP,
-            min_bridge_ratio=SMOKE_BRIDGE_RATIO,
         )
 
 
@@ -362,160 +344,6 @@ def bench_partitionable_zipf(scale: ShardScale) -> dict:
     return result
 
 
-# -- bridge workload: split vs forced whole-component placement ----------------------
-
-
-def bridge_plan(scale: ShardScale, seed: int = 11) -> tuple[QueryPlan, list]:
-    """Two bridge-shaped components over four sources.
-
-    Per component: a heavy Zipf-constant selection cluster over the *up*
-    source, a selective bridge selection whose derived channel feeds a
-    two-input sequence with the *down* source, and a set of post-selections
-    on the sequence's (low-volume) output.  Without bridge cuts each
-    component is an unsplittable atom: one engine must drain both of its
-    sources through the global timestamp merge, so every same-channel run
-    degenerates to length 1 and the heavy cluster falls off the batched
-    fast path.  The cut re-homes the cluster onto its own single-source
-    shard — full-length runs — and relays the bridge channel.
-
-    The plan is deliberately left unoptimized: sharable-selection merging
-    would fold the bridge producer onto the cluster's shared masked
-    channel, which the planner correctly refuses to cut.
-    """
-    schema = synthetic_schema()
-    rng = np.random.default_rng(seed)
-    plan = QueryPlan()
-    handles = [plan.add_source(f"S{i}", schema) for i in range(4)]
-    for component in range(2):
-        up, down = handles[2 * component], handles[2 * component + 1]
-        constants = ZipfSampler(0, 999, 1.5, rng).sample(
-            scale.bridge_queries_per_source
-        )
-        for position, constant in enumerate(constants):
-            query_id = f"q{component}_{position}"
-            out = plan.add_operator(
-                Selection(Comparison(attr("a0"), "==", lit(int(constant)))),
-                [up],
-                query_id=query_id,
-            )
-            plan.mark_output(out, query_id)
-        bridge = plan.add_operator(
-            Selection(Comparison(attr("a1"), "<", lit(60))),
-            [up],
-            query_id=f"qb{component}",
-        )
-        plan.mark_output(bridge, f"qb{component}")
-        seq = plan.add_operator(
-            Sequence(
-                conjunction(
-                    [DurationWithin(5), Comparison(right("a0"), "<", lit(500))]
-                )
-            ),
-            [bridge, down],
-            query_id=f"qs{component}",
-        )
-        plan.mark_output(seq, f"qs{component}")
-        for position in range(scale.bridge_post_queries):
-            query_id = f"qp{component}_{position}"
-            out = plan.add_operator(
-                Selection(Comparison(attr("a2"), "==", lit(position))),
-                [seq],
-                query_id=query_id,
-            )
-            plan.mark_output(out, query_id)
-    return plan, handles
-
-
-def bench_bridge(scale: ShardScale) -> dict:
-    """Time the 4-shard bridge serve split vs unsplit; verify identity.
-
-    ``sharded_4_bridge_unsplit`` forces whole-component placement
-    (``split=False``, the pre-relay behaviour); ``sharded_4_bridge_split``
-    lets the planner cut each oversized component at its bridge channel.
-    Both run on the inline :class:`~repro.shard.ShardedEngine`.
-    """
-    per_source = interleaved_zipf_tuples(4, scale.bridge_events, seed=13)
-    result: dict = {
-        "sources": 4,
-        "components": 2,
-        "queries": 2
-        * (scale.bridge_queries_per_source + scale.bridge_post_queries + 2),
-        "events": scale.bridge_events,
-        "cells": {},
-    }
-
-    def single():
-        plan, handles = bridge_plan(scale)
-        engine = StreamEngine(
-            plan, capture_outputs=True, max_batch=scale.max_batch
-        )
-        return engine.run(_make_sources(plan, handles, per_source)), engine
-
-    def sharded(split: bool):
-        plan, handles = bridge_plan(scale)
-        engine = ShardedEngine(
-            plan, 4, capture_outputs=True,
-            max_batch=scale.max_batch, split=split,
-        )
-        return engine.run(_make_sources(plan, handles, per_source)), engine
-
-    # The three cells alternate; cells report their best repeat, the
-    # ratios are medians of the per-repeat ratios (:func:`paired_speedup`).
-    cells = {
-        "single_batched": single,
-        "sharded_4_bridge_unsplit": lambda: sharded(False),
-        "sharded_4_bridge_split": lambda: sharded(True),
-    }
-    best: dict = {}
-    rates: dict = {cell: [] for cell in cells}
-    for __ in range(scale.repeats):
-        for cell, measure in cells.items():
-            run, engine = measure()
-            rates[cell].append(run.throughput)
-            if cell in best and best[cell][0].throughput >= run.throughput:
-                continue
-            best[cell] = (run, engine)
-    baseline, baseline_engine = best.pop("single_batched")
-    result["cells"]["single_batched"] = {
-        "events_per_sec": round(baseline.throughput, 1),
-        "elapsed_seconds": round(baseline.elapsed_seconds, 6),
-        "input_events": baseline.input_events,
-        "output_events": baseline.output_events,
-    }
-    for cell, (run, engine) in best.items():
-        _require_equivalent(f"bridge/{cell}", baseline, run.aggregate)
-        if engine.captured != baseline_engine.captured:
-            raise AssertionError(
-                f"bridge/{cell}: captured outputs diverged from the "
-                f"single-engine baseline"
-            )
-        relays = engine.shard_plan.relays
-        if cell == "sharded_4_bridge_split" and not relays:
-            raise AssertionError(
-                "bridge workload produced no relay edges: the split cell "
-                "measured whole-component placement, not bridge cuts"
-            )
-        if cell == "sharded_4_bridge_unsplit" and relays:
-            raise AssertionError(
-                "split=False placement must not produce relay edges"
-            )
-        result["cells"][cell] = {
-            "events_per_sec": round(run.throughput, 1),
-            "wall_seconds": round(run.wall_seconds, 6),
-            "busy_seconds": round(run.busy_seconds, 6),
-            "relays": len(relays),
-            "effective_shards": engine.shard_plan.effective_shards,
-            "output_events": run.aggregate.output_events,
-            "speedup_vs_single_batched": paired_speedup(
-                rates[cell], rates["single_batched"]
-            ),
-        }
-    result["split_vs_unsplit"] = paired_speedup(
-        rates["sharded_4_bridge_split"], rates["sharded_4_bridge_unsplit"]
-    )
-    return result
-
-
 # -- sharded churn serve -------------------------------------------------------------
 
 
@@ -589,12 +417,11 @@ def bench_sharded_churn(scale: ShardScale) -> dict:
 
 def run_benchmark(scale: ShardScale) -> dict:
     zipf = bench_partitionable_zipf(scale)
-    bridge = bench_bridge(scale)
     churn = bench_sharded_churn(scale)
     speedup = zipf["component_merge_speedup"]
     results = {
         "meta": {
-            "benchmark": "component merging, bridge cuts and the serving fleet",
+            "benchmark": "component merging and the serving fleet",
             "scale": scale.name,
             "max_batch": scale.max_batch,
             "repeats": scale.repeats,
@@ -607,7 +434,6 @@ def run_benchmark(scale: ShardScale) -> dict:
         },
         "workloads": {
             "partitionable_zipf": zipf,
-            "bridge": bridge,
             "sharded_churn": churn,
         },
     }
@@ -616,26 +442,6 @@ def run_benchmark(scale: ShardScale) -> dict:
             f"component merging must make the single engine ≥"
             f"{scale.min_speedup}x the same engine fed one global merge on "
             f"the partitionable zipf workload, measured {speedup}x"
-        )
-    # Bridge-cut gate: both cells must exist (a missing cell would make the
-    # floor vacuous) and splitting must never lose to the forced
-    # whole-component placement it replaces.
-    try:
-        split_cell = bridge["cells"]["sharded_4_bridge_split"]
-        unsplit_cell = bridge["cells"]["sharded_4_bridge_unsplit"]
-    except KeyError as missing:
-        raise AssertionError(
-            f"bridge workload cell {missing} missing from the results"
-        ) from None
-    bridge_ratio = bridge["split_vs_unsplit"]
-    results["headline"]["bridge_split_vs_unsplit"] = bridge_ratio
-    results["headline"]["bridge_ratio_target"] = scale.min_bridge_ratio
-    if bridge_ratio < scale.min_bridge_ratio:
-        raise AssertionError(
-            f"bridge-split serve must be ≥{scale.min_bridge_ratio}x the "
-            f"forced single-shard placement, measured {bridge_ratio}x "
-            f"({split_cell['events_per_sec']:,.0f} vs "
-            f"{unsplit_cell['events_per_sec']:,.0f} ev/s)"
         )
     return results
 
@@ -657,13 +463,6 @@ def render(results: dict) -> str:
             f"{cell['events_per_sec'] / max(baseline, 1e-9):>9.2f}x "
             f"{'-' if efficiency is None else f'{efficiency:.3f}':>11}"
         )
-    bridge = results["workloads"]["bridge"]["cells"]
-    for name in ("sharded_4_bridge_unsplit", "sharded_4_bridge_split"):
-        cell = bridge[name]
-        lines.append(
-            f"{name:<28} {cell['events_per_sec']:>14,.0f} "
-            f"{cell['speedup_vs_single_batched']:>9.2f}x"
-        )
     churn = results["workloads"]["sharded_churn"]["modes"]
     lines.append(
         f"{'churn single':<28} {churn['single']['events_per_sec']:>14,.0f}"
@@ -676,10 +475,6 @@ def render(results: dict) -> str:
         f"headline: component merging {headline['component_merge_speedup']}x "
         f"over one global merge (target ≥{headline['target']}x)"
     )
-    lines.append(
-        f"bridge cuts: split vs unsplit {headline['bridge_split_vs_unsplit']}x "
-        f"(target ≥{headline['bridge_ratio_target']}x)"
-    )
     return "\n".join(lines)
 
 
@@ -687,8 +482,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="shard benchmark: component merging, bridge cuts and "
-        "the serving fleet"
+        description="shard benchmark: component merging and the serving fleet"
     )
     parser.add_argument(
         "--scale", choices=["full", "smoke"], default="full",

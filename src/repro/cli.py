@@ -63,9 +63,8 @@ Three subcommands cover the downstream-user loop:
     Regenerate ``BENCH_shard.json``: on the partitionable zipf workload,
     the single engine merging per component vs the same engine fed one
     global merge (the gated headline) and the process fleet at 1/2/4
-    shards; on the bridge workload, the inline sharded engine with and
-    without bridge cuts (gated); plus a live sharded churn serve —
-    asserting every cell's outputs equal the single engine's.
+    shards; plus a live sharded churn serve — asserting every cell's
+    outputs equal the single engine's.
 
 ``bench-obs``
     Regenerate ``BENCH_obs.json``: throughput of observed vs unobserved
@@ -1036,8 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_shard = commands.add_parser(
         "bench-shard",
-        help="measure component merging, bridge cuts and the process fleet "
-        "against the single engine and write BENCH_shard.json",
+        help="measure component merging and the process fleet against "
+        "the single engine and write BENCH_shard.json",
     )
     bench_shard.add_argument(
         "--scale",

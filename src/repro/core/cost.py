@@ -89,12 +89,6 @@ PREDICATE_EVAL_COST = 1.0
 EMIT_COST = 0.5
 MEMBERSHIP_COST = 0.1  # per-tuple channel decode/encode overhead (§3.2)
 STATE_TOUCH_COST = 0.8
-#: Per-tuple cost of re-emitting a derived channel into another shard's
-#: entry (encode + queue hop + decode).  Charged against the bridge
-#: stream's estimated rate when the shard planner scores a candidate cut
-#: the Roy-et-al way: the benefit of splitting a sharing group must exceed
-#: the relay traffic it creates.
-RELAY_HOP_COST = 2.0
 
 
 @dataclass
@@ -120,28 +114,6 @@ class CostModel:
         for mop in self._topological(plan):
             total += self._mop_cost(plan, mop, rates)
         return total
-
-    def attributed_costs(
-        self, plan: QueryPlan
-    ) -> tuple[dict[int, float], dict[int, float]]:
-        """Per-m-op cost attribution and per-stream rate estimates.
-
-        Returns ``(mop_costs, stream_rates)``: ``mop_costs`` maps
-        ``id(mop)`` to the m-op's share of :meth:`plan_cost` (they sum to
-        it exactly) and ``stream_rates`` maps ``stream_id`` to the
-        estimated tuples per unit of source input on that stream.  The
-        shard planner uses both as edge weights when scoring candidate
-        bridge cuts: fragment cost is the sum of its m-ops' attributed
-        costs, and the relay traffic a cut creates is the cut stream's
-        rate.
-        """
-        rates: dict[int, float] = {}
-        for source in plan.sources:
-            rates[source.stream_id] = 1.0
-        costs: dict[int, float] = {}
-        for mop in self._topological(plan):
-            costs[id(mop)] = self._mop_cost(plan, mop, rates)
-        return costs, rates
 
     def compare(self, first: QueryPlan, second: QueryPlan) -> float:
         """cost(first) - cost(second); negative means ``first`` is cheaper."""

@@ -1,23 +1,21 @@
-"""Sharded parallel execution on top of the batched engine.
+"""Sharded serving: one coordinator over a fleet of workers.
 
-The optimizer's output — one shared m-op plan — decomposes into
-**entry-channel connected components**: maximal subgraphs connected through
-any channel.  Components share nothing, so they are the safe unit of
-parallel placement (queries sharing any m-op necessarily co-locate), and a
-single :class:`~repro.engine.executor.StreamEngine` already drains them one
-after another.  This package partitions a plan along those lines
-(:class:`ShardPlanner`, which also cuts oversized components at bridge
-channels) and drives a cut plan inline, one batched engine per shard, with
-the bridge runs relayed between fragments (:class:`ShardedEngine`).
-
-The online lifecycle runs across shards on one coordinator,
-:class:`ProcessShardedRuntime`, opened with
-:func:`~repro.runtime.config.open_runtime`: placement, routing, relays and
-state-preserving component rebalancing over a fleet of workers that speak
-one command protocol.  ``shards=N`` gives inline workers in the calling
-process; ``process=True`` forks one worker process per shard for parallel
-serving.  The coordinator adds cluster-grade durability on top (forked
-workers): per-shard write-ahead logs and versioned checkpoints
+The optimizer's output — one shared m-op plan — decomposes into connected
+components: queries sharing any m-op or derived channel belong to one, so
+a component is the unit the coordinator rebalances, and a single
+:class:`~repro.engine.executor.StreamEngine` already drains them one after
+another.  The coordinator, :class:`ProcessShardedRuntime`, opened with
+:func:`~repro.runtime.config.open_runtime`, places each query on a shard
+as it registers (:meth:`~ProcessShardedRuntime.place`: the least-loaded by
+query count unless the caller names one; queries on different shards do
+not share m-ops), and ``export_stream`` relays one query's output to
+consumers on other shards.  Those two are the only ways a plan is split
+across workers.  On top come routing and state-preserving component
+rebalancing over a fleet of workers that speak one command protocol.
+``shards=N`` gives inline workers in the calling process;
+``process=True`` forks one worker process per shard for parallel serving.
+The coordinator adds cluster-grade durability on top (forked workers):
+per-shard write-ahead logs and versioned checkpoints
 (:class:`CheckpointStore`) recover crashed workers, a coordinator journal
 (:class:`CoordinatorLog`) makes the coordinator itself restartable — cold
 start from disk or re-adoption of still-live workers
@@ -43,8 +41,6 @@ from repro.shard.coordlog import (
     CoordinatorLog,
     CoordinatorState,
 )
-from repro.shard.engine import ShardedEngine
-from repro.shard.planner import ShardComponent, ShardPlan, ShardPlanner
 from repro.shard.policy import QueryCountPolicy, RebalancePolicy, ThroughputPolicy
 from repro.shard.proc import (
     CoordinatorHandoff,
@@ -54,7 +50,6 @@ from repro.shard.proc import (
     WorkerFaults,
     fork_available,
 )
-from repro.shard.stats import ShardedRunStats, merge_run_stats
 from repro.shard.wire import WireDecoder, WireEncoder
 
 __all__ = [
@@ -72,12 +67,7 @@ __all__ = [
     "RebalancePolicy",
     "RecoveryReport",
     "ShardCheckpoint",
-    "ShardComponent",
     "ShardLog",
-    "ShardPlan",
-    "ShardPlanner",
-    "ShardedEngine",
-    "ShardedRunStats",
     "ThroughputPolicy",
     "WireDecoder",
     "WireEncoder",
@@ -85,5 +75,4 @@ __all__ = [
     "WorkerFaults",
     "WorkerUnreachableError",
     "fork_available",
-    "merge_run_stats",
 ]

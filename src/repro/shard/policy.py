@@ -33,28 +33,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SplitProposal:
-    """An oversized component the policy wants the planner to cut.
-
-    Rebalancing moves whole components, so a component above the per-shard
-    target is immovable dead weight — the only fix is splitting it at a
-    bridge channel (:meth:`~repro.shard.planner.ShardPlanner.best_cut`)
-    and relaying the cut edge cross-shard.  Policies cannot perform that
-    surgery mid-serve; they record the proposal for the driver (or the
-    next cold partition, which splits by default).
-    """
-
-    query_ids: tuple
-    shard: int
-    size: int
-    per_shard_target: int
 
 
 class RebalancePolicy:
@@ -69,11 +50,6 @@ class RebalancePolicy:
         #: Times a candidate component was skipped because it exceeded the
         #: per-shard target and therefore could not improve the balance.
         self.oversized_alerts = 0
-        #: One :class:`SplitProposal` per distinct oversized component seen
-        #: (deduplicated by query set) — the driver's cue to re-partition
-        #: with splitting enabled.
-        self.split_proposals: list[SplitProposal] = []
-        self._proposed_splits: set[frozenset] = set()
 
     def propose(self, runtime):
         """Ordered ``(query_id, to_shard)`` candidates (lazy, may be empty)."""
@@ -147,26 +123,14 @@ class RebalancePolicy:
                 # Moving the whole component cannot improve the balance.
                 if size > per_shard_target:
                     self.oversized_alerts += 1
-                    shard = runtime.shard_of(query_id)
                     logger.warning(
                         "oversized component (%d queries, per-shard target %d) "
                         "anchored to shard %d cannot be rebalanced: %s",
                         size,
                         per_shard_target,
-                        shard,
+                        runtime.shard_of(query_id),
                         component,
                     )
-                    key = frozenset(component)
-                    if key not in self._proposed_splits:
-                        self._proposed_splits.add(key)
-                        self.split_proposals.append(
-                            SplitProposal(
-                                query_ids=tuple(sorted(component)),
-                                shard=shard,
-                                size=size,
-                                per_shard_target=per_shard_target,
-                            )
-                        )
                 continue
             yield query_id, to_shard
 

@@ -2958,8 +2958,8 @@ class ProcessShardedRuntime:
         a plain source.  From then on each batch boundary collects the
         tap's pending runs over the relay wire and re-emits them to the
         alias's consuming shards — queries on *any* shard can read the
-        exported query's output, which is what lets the planner split an
-        entry-channel connected component across workers.
+        exported query's output, so a pipeline can run its stages on
+        different workers.
 
         RPC-then-journal, like register: a coordinator crash in between
         leaves a tap the journal never committed, rolled back by re-adopt

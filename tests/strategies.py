@@ -100,39 +100,6 @@ def mixed_plan():
     return plan, (s, t)
 
 
-def two_component_plan():
-    """The mixed plan (S, T component) plus an independent U component."""
-    schema = EVENT_SCHEMA
-    plan = QueryPlan()
-    s = plan.add_source("S", schema)
-    t = plan.add_source("T", schema)
-    u = plan.add_source("U", schema)
-    sel1 = plan.add_operator(
-        Selection(Comparison(attr("a0"), "==", lit(1))), [s], query_id="q_sel1"
-    )
-    plan.mark_output(sel1, "q_sel1")
-    sel2 = plan.add_operator(
-        Selection(Comparison(attr("a0"), "==", lit(2))), [s], query_id="q_sel2"
-    )
-    plan.mark_output(sel2, "q_sel2")
-    seq = plan.add_operator(
-        Sequence(
-            conjunction(
-                [DurationWithin(6), Comparison(right("a0"), "==", lit(1))]
-            )
-        ),
-        [sel1, t],
-        query_id="q_seq",
-    )
-    plan.mark_output(seq, "q_seq")
-    other = plan.add_operator(
-        Selection(Comparison(attr("a0"), ">", lit(0))), [u], query_id="q_u"
-    )
-    plan.mark_output(other, "q_u")
-    Optimizer().optimize(plan)
-    return plan, (s, t, u)
-
-
 def multi_component_plan(n_independent: int, optimize: bool = True):
     """Several components in one plan, for the component-merge property.
 

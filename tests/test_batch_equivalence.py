@@ -36,7 +36,6 @@ from strategies import (
     mixed_plan,
     multi_component_plan,
     split_entries,
-    two_component_plan,
 )
 
 
@@ -466,46 +465,6 @@ class TestComponentMerge:
             assert record["tuples_in"] == per_component
             assert record["per_tuple_calls"] == 0
             assert record["batches"] == -(-per_component // max_batch)
-
-
-# -- sharded axis: the equivalence contract extends across shards -------------------
-
-
-class TestShardedRandomInterleavings:
-    """Property: sharded execution == per-tuple single engine, any
-    interleaving, any batch size, any shard count."""
-
-    @given(
-        events=event_entries(n_streams=3),
-        max_batch=max_batches,
-        n_shards=st.integers(1, 3),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_sharded_equals_per_tuple(self, events, max_batch, n_shards):
-        from repro.shard import ShardedEngine
-
-        by_stream = split_entries(events, n_streams=3)
-
-        def sources_of(plan, handles):
-            return [
-                StreamSource(plan.channel_of(handle), by_stream[index])
-                for index, handle in enumerate(handles)
-            ]
-
-        plan, handles = two_component_plan()
-        reference = StreamEngine(plan, capture_outputs=True, batching=False)
-        per_tuple = reference.run(sources_of(plan, handles))
-
-        plan, handles = two_component_plan()
-        sharded = ShardedEngine(
-            plan, n_shards, capture_outputs=True, max_batch=max_batch
-        )
-        run = sharded.run(sources_of(plan, handles))
-        aggregate = run.aggregate
-        assert aggregate.outputs_by_query == per_tuple.outputs_by_query
-        assert aggregate.input_events == per_tuple.input_events
-        assert aggregate.output_events == per_tuple.output_events
-        assert sharded.captured == reference.captured
 
 
 # -- state partitioning -------------------------------------------------------------

@@ -30,13 +30,9 @@ def tiny_scale(**overrides) -> ShardScale:
         zipf_events=2_000,
         churn_events=100,
         churn_initial=2,
-        bridge_queries_per_source=12,
-        bridge_post_queries=2,
-        bridge_events=800,
         repeats=1,
         max_batch=64,
         min_speedup=0.0,
-        min_bridge_ratio=0.0,
     )
     knobs.update(overrides)
     return ShardScale(**knobs)
@@ -192,20 +188,8 @@ class TestCells:
                 cell["speedup"] / min(n_shards, cpus), abs=2e-3
             )
 
-    def test_bridge_cells_split_only_when_asked(self):
-        result = bench.bench_bridge(tiny_scale())
-        cells = result["cells"]
-        assert cells["sharded_4_bridge_split"]["relays"] > 0
-        assert cells["sharded_4_bridge_unsplit"]["relays"] == 0
-        assert result["split_vs_unsplit"] > 0
-        for name in ("sharded_4_bridge_split", "sharded_4_bridge_unsplit"):
-            assert (
-                cells[name]["output_events"]
-                == cells["single_batched"]["output_events"]
-            )
 
-
-def canned_results(zipf_speedup=3.0, split=300.0, unsplit=100.0):
+def canned_results(zipf_speedup=3.0):
     zipf = {
         "sources": 4,
         "queries": 8,
@@ -216,69 +200,44 @@ def canned_results(zipf_speedup=3.0, split=300.0, unsplit=100.0):
         },
         "component_merge_speedup": zipf_speedup,
     }
-    bridge = {
-        "cells": {
-            "sharded_4_bridge_split": {
-                "events_per_sec": split,
-                "speedup_vs_single_batched": 1.5,
-            },
-            "sharded_4_bridge_unsplit": {
-                "events_per_sec": unsplit,
-                "speedup_vs_single_batched": 0.5,
-            },
-        },
-        "split_vs_unsplit": round(split / unsplit, 2),
-    }
     churn = {
         "modes": {
             "single": {"events_per_sec": 10.0},
             "sharded": {"events_per_sec": 12.0},
         }
     }
-    return zipf, bridge, churn
+    return zipf, churn
 
 
 @pytest.fixture
 def canned(monkeypatch):
-    """Replace the three workload runs with fixed results."""
+    """Replace the two workload runs with fixed results."""
 
     def install(**kwargs):
-        zipf, bridge, churn = canned_results(**kwargs)
+        zipf, churn = canned_results(**kwargs)
         monkeypatch.setattr(bench, "bench_partitionable_zipf", lambda scale: zipf)
-        monkeypatch.setattr(bench, "bench_bridge", lambda scale: bridge)
         monkeypatch.setattr(bench, "bench_sharded_churn", lambda scale: churn)
 
     return install
 
 
 class TestGates:
-    def test_passing_run_records_both_headlines(self, canned):
+    def test_passing_run_records_the_headline(self, canned):
         canned()
-        results = bench.run_benchmark(tiny_scale(min_speedup=2.0, min_bridge_ratio=1.5))
+        results = bench.run_benchmark(tiny_scale(min_speedup=2.0))
         assert results["headline"] == {
             "component_merge_speedup": 3.0,
             "target": 2.0,
-            "bridge_split_vs_unsplit": 3.0,
-            "bridge_ratio_target": 1.5,
         }
+        assert list(results["workloads"]) == [
+            "partitionable_zipf",
+            "sharded_churn",
+        ]
 
     def test_component_merge_below_floor_raises(self, canned):
         canned(zipf_speedup=1.2)
         with pytest.raises(AssertionError, match="measured 1.2x"):
             bench.run_benchmark(tiny_scale(min_speedup=1.3))
-
-    def test_bridge_ratio_below_floor_raises(self, canned):
-        canned(split=90.0, unsplit=100.0)
-        with pytest.raises(AssertionError, match="measured 0.9x"):
-            bench.run_benchmark(tiny_scale(min_bridge_ratio=1.0))
-
-    def test_missing_bridge_cell_raises(self, canned, monkeypatch):
-        canned()
-        monkeypatch.setattr(
-            bench, "bench_bridge", lambda scale: {"cells": {"sharded_4_bridge_split": {}}}
-        )
-        with pytest.raises(AssertionError, match="sharded_4_bridge_unsplit"):
-            bench.run_benchmark(tiny_scale())
 
     def test_render_lists_every_cell(self, canned):
         canned()
@@ -287,8 +246,6 @@ class TestGates:
             "single_batched",
             "single_global_merge",
             "fleet_2",
-            "sharded_4_bridge_split",
-            "sharded_4_bridge_unsplit",
             "churn sharded",
         ):
             assert name in text

@@ -15,22 +15,17 @@ schema retirement all composed.
 import pytest
 
 from repro import open_runtime
-from repro.shard import (
-    ProcessShardedRuntime,
-    ShardedEngine,
-    WorkerFaults,
-    fork_available,
-)
+from repro.core.optimizer import Optimizer
+from repro.core.plan import QueryPlan
+from repro.engine.executor import StreamEngine
+from repro.operators.expressions import attr, lit
+from repro.operators.predicates import Comparison
+from repro.operators.select import Selection
+from repro.shard import ProcessShardedRuntime, WorkerFaults, fork_available
 from repro.streams.columns import ColumnBatch
 from repro.streams.schema import Schema
-from repro.streams.sources import ColumnRunSource
+from repro.streams.sources import ColumnRunSource, StreamSource
 from repro.streams.tuples import StreamTuple
-from test_shard_engine import (
-    interleaved_tuples,
-    make_sources,
-    partitionable_plan,
-    single_engine_run,
-)
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="process mode requires the fork start method"
@@ -197,32 +192,39 @@ class TestColumnarNativeSources:
     def test_single_engine_columnar_source_matches_rows(self):
         """A columnar-born source (zero-copy ``iter_runs`` slices) drives
         the batched engine to the same outputs as its row twin."""
-        per_source = interleaved_tuples(1, 300)
-        factory = lambda: partitionable_plan(num_sources=1)
-        rows = lambda plan, handles: make_sources(plan, handles, per_source)
-        cols = lambda plan, handles: columnar_sources(
-            plan, handles, per_source
-        )
-        from_rows = single_engine_run(factory, rows)
-        from_cols = single_engine_run(factory, cols)
+        schema = Schema.numbered(2)
+        per_source = [
+            [StreamTuple(schema, (ts % 7, ts), ts) for ts in range(300)]
+        ]
+
+        def run(make_sources):
+            plan = QueryPlan()
+            source = plan.add_source("S", schema)
+            for constant in range(6):
+                query_id = f"q{constant}"
+                out = plan.add_operator(
+                    Selection(Comparison(attr("a0"), "==", lit(constant))),
+                    [source],
+                    query_id=query_id,
+                )
+                plan.mark_output(out, query_id)
+            Optimizer().optimize(plan)
+            engine = StreamEngine(plan, capture_outputs=True)
+            stats = engine.run(make_sources(plan, [source], per_source))
+            return stats, engine.captured
+
+        def row_sources(plan, handles, per_source):
+            return [
+                StreamSource(plan.channel_of(stream), tuples)
+                for stream, tuples in zip(handles, per_source)
+            ]
+
+        from_rows = run(row_sources)
+        from_cols = run(columnar_sources)
+        assert from_rows[0].output_events > 0
         assert from_cols[0].outputs_by_query == from_rows[0].outputs_by_query
         assert from_cols[0].input_events == from_rows[0].input_events
         assert from_cols[1] == from_rows[1]
-
-    def test_sharded_inline_columnar_sources_match_rows(self):
-        per_source = interleaved_tuples(3, 300)
-        factory = lambda: partitionable_plan()
-        rows = lambda plan, handles: make_sources(plan, handles, per_source)
-        cols = lambda plan, handles: columnar_sources(
-            plan, handles, per_source
-        )
-        single = single_engine_run(factory, rows)
-        plan, handles = factory()
-        sharded = ShardedEngine(plan, 2, capture_outputs=True, max_batch=64)
-        run = sharded.run(cols(plan, handles))
-        assert run.aggregate.outputs_by_query == single[0].outputs_by_query
-        assert run.aggregate.input_events == single[0].input_events
-        assert sharded.captured == single[1]
 
 
 class TestEqualSchemasPack:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.optimizer import Optimizer
 from repro.core.plan import QueryPlan
 from repro.errors import PlanError
 from repro.mops.naive import NaiveMOp
@@ -192,8 +193,8 @@ class TestValidate:
 
 
 class TestChannelComponents:
-    """``QueryPlan.channel_components``: the one grouping both the engine's
-    per-component merge and the shard planner use."""
+    """``QueryPlan.channel_components``: the grouping the engine's
+    per-component merge drains by."""
 
     @staticmethod
     def _groups(plan):
@@ -216,12 +217,39 @@ class TestChannelComponents:
         assert QueryPlan().channel_components() == {}
 
     def test_independent_selections_stay_apart(self):
-        plan = QueryPlan()
-        for name in ("S1", "S2", "S3"):
-            source = plan.add_source(name, SCHEMA)
-            out = plan.add_operator(selection(1), [source], query_id=name)
-            plan.mark_output(out, name)
-        assert len(self._groups(plan)) == 3
+        # One selection per source; then four per source, as separate
+        # m-ops co-consuming each entry channel; then the same four
+        # optimized into one shared predicate-index m-op per source.
+        # Every shape keeps one component per source holding all of that
+        # source's queries.
+        for per_source, optimize in ((1, False), (4, False), (4, True)):
+            plan = QueryPlan()
+            for name in ("S1", "S2", "S3"):
+                source = plan.add_source(name, SCHEMA)
+                for position in range(per_source):
+                    query_id = f"{name}_{position}"
+                    out = plan.add_operator(
+                        selection(position), [source], query_id=query_id
+                    )
+                    plan.mark_output(out, query_id)
+            if optimize:
+                Optimizer().optimize(plan)
+                assert len(plan.mops) == 3
+            assert len(self._groups(plan)) == 3
+            components = plan.channel_components()
+            root_of = {
+                query_id: components[plan.channel_of(stream).channel_id]
+                for stream, query_ids in plan.sink_streams()
+                for query_id in query_ids
+            }
+            assert len(root_of) == 3 * per_source
+            for name in ("S1", "S2", "S3"):
+                roots = {
+                    root_of[f"{name}_{position}"]
+                    for position in range(per_source)
+                }
+                assert len(roots) == 1
+            assert len(set(root_of.values())) == 3
 
     def test_derived_channel_joins_its_producer(self):
         plan = QueryPlan()

@@ -117,11 +117,10 @@ class TestQueryCountPolicy:
         policy = QueryCountPolicy()
         assert list(policy.propose(runtime))
         assert policy.oversized_alerts == 0
-        assert policy.split_proposals == []
 
-    def test_oversized_component_becomes_one_split_proposal(self):
-        # Three candidates hit the guard but they are the *same* component:
-        # exactly one split proposal, naming the component and its anchor.
+    def test_oversized_alert_names_the_anchor_shard_each_time(self, caplog):
+        # Every decision that meets the immovable component counts and logs
+        # it again, naming its size, the per-shard target and its shard.
         component = ["a", "b", "c"]
         runtime = FakeRuntime(
             {"a": 0, "b": 0, "c": 0, "d": 1},
@@ -130,14 +129,14 @@ class TestQueryCountPolicy:
             components={q: component for q in component},
         )
         policy = QueryCountPolicy()
-        list(policy.propose(runtime))
-        list(policy.propose(runtime))  # repeat proposals do not duplicate
-        assert len(policy.split_proposals) == 1
-        proposal = policy.split_proposals[0]
-        assert proposal.query_ids == ("a", "b", "c")
-        assert proposal.shard == 0
-        assert proposal.size == 3
-        assert proposal.size > proposal.per_shard_target
+        with caplog.at_level(logging.WARNING, logger="repro.shard.policy"):
+            list(policy.propose(runtime))
+            list(policy.propose(runtime))
+        assert policy.oversized_alerts == 6
+        assert (
+            "oversized component (3 queries, per-shard target 2) "
+            "anchored to shard 0" in caplog.text
+        )
 
 
 class TestThroughputPolicy:

@@ -11,6 +11,8 @@ end-to-end discipline:
   single runtime evaluating the composed query;
 - **relay traffic is derived, not input** — aggregate ``input_events``
   count source events only, however many bridge tuples flow;
+- **the relay wire is gap-checked** — ``RelayCodec`` round-trips runs,
+  and a skipped frame raises instead of silently losing tuples;
 - **taps ride their producers** — rebalance moves the export with the
   component, mid-stream, without dropping or duplicating a tuple;
 - **exactly-once across crashes** — worker crashes (producer and consumer
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CoordinatorCrashError, LifecycleError
+from repro.errors import ChannelError, CoordinatorCrashError, LifecycleError
 from repro.runtime import QueryRuntime, open_runtime
 from repro.shard import (
     CoordinatorFaults,
@@ -33,7 +35,10 @@ from repro.shard import (
     WorkerFaults,
     fork_available,
 )
+from repro.shard.wire import RelayCodec
+from repro.streams.channel import Channel, ChannelTuple
 from repro.streams.schema import Schema
+from repro.streams.stream import StreamDef
 from repro.streams.tuples import StreamTuple
 from strategies import event_entries, max_batches
 
@@ -401,3 +406,26 @@ class TestBridgeProperties:
             assert_identical(proc, reference)
         finally:
             proc.close()
+
+
+class TestRelayPrimitives:
+    def _run(self, first, last):
+        return [
+            ChannelTuple(StreamTuple(SCHEMA, (0, ts), ts), 1)
+            for ts in range(first, last)
+        ]
+
+    def test_codec_round_trip_and_gap_detection(self):
+        channel = Channel.singleton(StreamDef("B", SCHEMA))
+        sender = RelayCodec(7, channel)
+        receiver = RelayCodec(7, channel)
+        frames = sender.encode(self._run(0, 5))
+        decoded = [receiver.decode(frame) for frame in frames]
+        batches = [batch for batch in decoded if batch is not None]
+        assert sum(len(batch) for __, batch in batches) == 5
+        receiver.decode_eof(sender.encode_eof())
+        # Skipping a frame is a sequence gap, not silent data loss.
+        fresh = RelayCodec(7, channel)
+        frames = sender.encode(self._run(5, 8))
+        with pytest.raises(ChannelError):
+            fresh.decode(frames[-1])

@@ -1,11 +1,10 @@
-"""Wire-format edge cases and ShardedRunStats aggregate math.
+"""Wire-format edge cases.
 
 The schema-interning protocol has two sneaky paths the round-trip suite
 does not reach: token re-registration (a decoder that outlives one encoder
 generation, as happens when schema frames are replayed to a respawned
 worker) and schemas whose attribute names exercise full unicode
-identifiers.  ShardedRunStats' wall-vs-busy arithmetic is pinned with
-synthetic inputs so the aggregate definitions cannot drift silently.
+identifiers.
 
 The columnar data plane rides the same wire: the property suite here
 proves, over random runs (mixed value types, None, unicode, bools,
@@ -21,11 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.metrics import RunStats
 from repro.errors import ChannelError
 from repro.shard import WireDecoder, WireEncoder
 from repro.shard.ring import RingBuffer
-from repro.shard.stats import ShardedRunStats, merge_run_stats
 from repro.shard.wire import (
     CRUN,
     RUN,
@@ -138,59 +135,6 @@ class TestSchemaInterning:
         for frames, batch in ((frames_a, batch_a), (frames_b, batch_b)):
             decoded = [r for r in map(decoder.decode, frames) if r is not None]
             assert decoded[0][1] == batch
-
-
-class TestShardedRunStatsMath:
-    def _stats(self, input_events, output_events, elapsed):
-        stats = RunStats()
-        stats.input_events = input_events
-        stats.physical_input_events = input_events
-        stats.output_events = output_events
-        stats.elapsed_seconds = elapsed
-        stats.outputs_by_query = {"q": output_events}
-        return stats
-
-    def test_busy_sums_wall_does_not(self):
-        run = ShardedRunStats(
-            per_shard=[self._stats(100, 10, 0.2), self._stats(50, 5, 0.3)],
-            wall_seconds=0.4,
-        )
-        assert run.busy_seconds == pytest.approx(0.5)
-        assert run.wall_seconds == pytest.approx(0.4)
-        # Busy exceeding wall is the signature of true parallelism; the
-        # two must never be conflated by the aggregate.
-        assert run.busy_seconds > run.wall_seconds
-
-    def test_aggregate_sums_disjoint_counters(self):
-        run = ShardedRunStats(
-            per_shard=[self._stats(100, 10, 0.2), self._stats(50, 5, 0.3)],
-            wall_seconds=0.5,
-        )
-        aggregate = run.aggregate
-        assert aggregate.input_events == 150
-        assert aggregate.output_events == 15
-        assert aggregate.elapsed_seconds == pytest.approx(0.5)
-        assert aggregate.outputs_by_query == {"q": 15}
-        merged = merge_run_stats(run.per_shard)
-        assert merged.input_events == aggregate.input_events
-
-    def test_throughput_uses_wall_not_busy(self):
-        run = ShardedRunStats(
-            per_shard=[self._stats(300, 0, 1.0), self._stats(300, 0, 1.0)],
-            wall_seconds=1.2,
-        )
-        assert run.throughput == pytest.approx(600 / 1.2)
-
-    def test_zero_wall_guard(self):
-        run = ShardedRunStats(per_shard=[self._stats(10, 1, 0.1)])
-        assert run.wall_seconds == 0.0
-        assert run.throughput == 0.0
-
-    def test_empty_run(self):
-        run = ShardedRunStats()
-        assert run.busy_seconds == 0.0
-        assert run.aggregate.input_events == 0
-        assert "0 shards" in str(run)
 
 
 # -- columnar data plane -------------------------------------------------------------
